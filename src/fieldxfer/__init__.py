@@ -19,8 +19,7 @@ from .grid import (ScalarField, StructuredGrid, read_fdf, sample_field,
                    trapezoid_integral, trapezoid_weights, write_fdf)
 from .interp import (Interpolator, bspline_interpolator, lagrange_interpolator,
                      make_interpolator)
-from .supermesh import (SupermeshCache, assemble_supermesh, build_supermesh,
-                        clip_to_cell, polygon_area, tessellate)
+from .supermesh import SupermeshCache, assemble_supermesh, build_supermesh
 
 __version__ = "0.1.0"
 
@@ -38,6 +37,5 @@ __all__ = [
     "assemble_quadrature", "assemble_quadrature_analytic",
     "read_rhs", "write_rhs",
     "SupermeshCache", "build_supermesh", "assemble_supermesh",
-    "clip_to_cell", "tessellate", "polygon_area",
     "__version__",
 ]

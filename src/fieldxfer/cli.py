@@ -45,11 +45,8 @@ def _default_threads():
 
 def _add_common(parser):
     parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker thread cap (default: FIELDXFER_THREADS or serial)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force ordered reduction (results are ordered-reduced "
-                             "in every mode; flag kept for interface stability)")
-    parser.add_argument("--seed", type=int, default=0)
+                        help="worker threads for the load-vector scatter "
+                             "(default: FIELDXFER_THREADS or serial)")
 
 
 def _build_parser():
@@ -166,7 +163,7 @@ def _load_transfer_inputs(args, parser):
 def _cmd_transfer(args, parser):
     mesh, field = _load_transfer_inputs(args, parser)
     if args.method == "supermesh":
-        cache = build_supermesh(mesh, field.grid, threads=args.threads)
+        cache = build_supermesh(mesh, field.grid)
         if args.dump_supermesh:
             cache.dump_polygons(args.dump_supermesh)
         b = assemble_supermesh(cache, field, args.interp, threads=args.threads)
@@ -185,8 +182,7 @@ def _cmd_transfer(args, parser):
 
 
 def _study_config(args):
-    cfg = StudyConfig(repetitions=args.repetitions, threads=args.threads,
-                      seed=args.seed, deterministic=True)
+    cfg = StudyConfig(repetitions=args.repetitions, threads=args.threads)
     if args.domain:
         x0, x1, y0, y1 = args.domain
         cfg.domain = (x0, y0, x1, y1)

@@ -58,25 +58,28 @@ class StructuredGrid:
         return (self.xs[i], self.xs[i + 1], self.ys[j], self.ys[j + 1])
 
     def candidate_cells(self, bbox):
-        """Inclusive cell-index ranges overlapping an axis-aligned box.
+        """Inclusive cell-index ranges overlapping axis-aligned boxes.
 
         Parameters
         ----------
-        bbox : (xmin, ymin, xmax, ymax)
+        bbox : (..., 4) array of (xmin, ymin, xmax, ymax)
 
         Returns
         -------
-        (i_lo, i_hi, j_lo, j_hi) : ints, inclusive cell ranges. Cells that
-            touch the box only along an edge or at a point are included
+        (i_lo, i_hi, j_lo, j_hi) : inclusive cell ranges, ints for a single
+            box and arrays of shape ``bbox.shape[:-1]`` otherwise. Cells
+            that touch a box only along an edge or at a point are included
             (zero-area intersections are discarded later by the clipper).
             An empty range (lo > hi) means the box is disjoint from the
             grid.
         """
-        xmin, ymin, xmax, ymax = bbox
-        if xmax < xmin or ymax < ymin:
+        xmin, ymin, xmax, ymax = np.moveaxis(np.asarray(bbox, dtype=float), -1, 0)
+        if np.any(xmax < xmin) or np.any(ymax < ymin):
             raise ValueError("bbox must satisfy min <= max in both axes")
         i_lo, i_hi = _axis_range(self.xs, xmin, xmax)
         j_lo, j_hi = _axis_range(self.ys, ymin, ymax)
+        if np.ndim(i_lo) == 0:
+            return int(i_lo), int(i_hi), int(j_lo), int(j_hi)
         return i_lo, i_hi, j_lo, j_hi
 
     def __repr__(self):
@@ -86,13 +89,15 @@ class StructuredGrid:
 
 
 def _axis_range(coords, lo, hi):
-    """Inclusive cell range [i_lo, i_hi] along one axis; empty if disjoint."""
+    """Inclusive cell ranges [i_lo, i_hi] along one axis; empty if disjoint.
+
+    A range below the grid comes out as (0, -1) and one above it as
+    (n_cells, n_cells - 1).
+    """
     n_cells = coords.size - 1
-    if hi < coords[0] or lo > coords[-1]:
-        return 0, -1
-    i_lo = int(np.searchsorted(coords, lo, side="left")) - 1
-    i_hi = int(np.searchsorted(coords, hi, side="right")) - 1
-    return max(i_lo, 0), min(i_hi, n_cells - 1)
+    i_lo = np.maximum(np.searchsorted(coords, lo, side="left") - 1, 0)
+    i_hi = np.minimum(np.searchsorted(coords, hi, side="right") - 1, n_cells - 1)
+    return i_lo, i_hi
 
 
 class ScalarField:

@@ -75,8 +75,6 @@ class StudyConfig:
     reconstruction: str = "lagrange:3"
     repetitions: int = 5
     threads: int | None = None
-    seed: int = 0
-    deterministic: bool = True
 
     def validate_sweep(self):
         if not self.sweep:
@@ -308,7 +306,7 @@ def run_href_study(cfg: StudyConfig) -> StudyResult:
         n = int(n)
         mesh = rect_mesh(x0, y0, x1, y1, n, n)
         t0 = time.perf_counter()
-        cache = build_supermesh(mesh, grid, threads=cfg.threads)
+        cache = build_supermesh(mesh, grid)
         setup_t = time.perf_counter() - t0
         for method, reconstruction, ng in _HREF_METHODS:
             if method == "supermesh":
@@ -351,7 +349,7 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
         i_ref = trapezoid_integral(fld)
         mesh = rect_mesh(x0, y0, x1, y1, n, n)
         t0 = time.perf_counter()
-        cache = build_supermesh(mesh, grid, threads=cfg.threads)
+        cache = build_supermesh(mesh, grid)
         setup_t = time.perf_counter() - t0
         dt, b = _median_time(
             lambda: assemble_supermesh(cache, fld, "bilinear", threads=cfg.threads),

@@ -26,56 +26,6 @@ from .fem import QuadMesh, newton_inverse_batch, shape_functions, triangle_rule
 from .grid import ScalarField, StructuredGrid
 from .interp import Interpolator, make_interpolator
 
-# polygons smaller than this fraction of their cell are discarded
-REL_AREA_TOL = 1e-14
-# consecutive clip vertices closer than this fraction of the domain
-# diagonal are merged
-REL_DEDUP_TOL = 1e-13
-
-
-def clip_to_cell(poly, cell_bounds, dedup_tol: float | None = None) -> np.ndarray:
-    """Intersection of a convex CCW polygon with an axis-aligned cell.
-
-    cell_bounds: (xlo, xhi, ylo, yhi). Returns the clipped polygon as an
-    (m, 2) CCW vertex array; an empty (0, 2) array signals no intersection
-    (including degenerate slivers below 1e-14 of the cell area).
-    """
-    xlo, xhi, ylo, yhi = cell_bounds
-    if dedup_tol is None:
-        dedup_tol = REL_DEDUP_TOL * float(np.hypot(xhi - xlo, yhi - ylo))
-    min_area = REL_AREA_TOL * (xhi - xlo) * (yhi - ylo)
-    return _kernels.clip_polygon_box(np.asarray(poly, dtype=float),
-                                     xlo, xhi, ylo, yhi, dedup_tol, min_area)
-
-
-def polygon_area(poly) -> float:
-    """Signed shoelace area (positive for CCW)."""
-    poly = np.asarray(poly, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def tessellate(poly, dedup_tol: float = 0.0) -> np.ndarray:
-    """Fan triangulation of a convex polygon around its vertex centroid.
-
-    Returns an (n, 3, 2) triangle array, one triangle per polygon edge, so
-    the triangle areas sum to the polygon area. Degenerate input (< 3
-    distinct vertices) gives an empty (0, 3, 2) array.
-    """
-    poly = np.asarray(poly, dtype=float)
-    if dedup_tol > 0.0 and len(poly):
-        keep = np.any(np.abs(poly - np.roll(poly, 1, axis=0)) > dedup_tol, axis=1)
-        poly = poly[keep]
-    if len(poly) < 3:
-        return np.zeros((0, 3, 2))
-    centroid = poly.mean(axis=0)
-    nxt = np.roll(np.arange(len(poly)), -1)
-    tris = np.empty((len(poly), 3, 2))
-    tris[:, 0] = centroid
-    tris[:, 1] = poly
-    tris[:, 2] = poly[nxt]
-    return tris
-
 
 class SupermeshCache:
     """Precomputed intersection geometry and quadrature data.
@@ -132,76 +82,27 @@ class SupermeshCache:
                 fh.write(f"{e} {i} {j} {coords}\n")
 
 
-def build_supermesh(mesh: QuadMesh, grid: StructuredGrid,
-                    threads: int | None = None) -> SupermeshCache:
+def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
     """Setup phase: clip, tessellate and precompute quadrature data.
 
     Elements entirely outside the grid domain are skipped with a warning;
     their intersection is empty and they contribute nothing.
     """
     rule = triangle_rule()
-    dedup_tol = REL_DEDUP_TOL * grid.diagonal
-    aabbs = mesh.element_aabbs()
-    coords = mesh.nodes[mesh.elements]
+    (poly_element, poly_cell, poly_offsets, poly_verts, poly_areas,
+     gauss_xy, gauss_w) = _kernels.clip_and_seed(mesh, grid, rule)
 
-    def element_cut(e):
-        i_lo, i_hi, j_lo, j_hi = grid.candidate_cells(aabbs[e])
-        if i_lo > i_hi or j_lo > j_hi:
-            return None
-        return _kernels.cut_cell_quadrature(
-            coords[e], grid.xs, grid.ys, i_lo, i_hi, j_lo, j_hi,
-            dedup_tol, REL_AREA_TOL, rule.points, rule.weights)
-
-    n_e = mesh.n_elements
-    if threads and threads > 1 and n_e > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(element_cut, range(n_e)))
-    else:
-        results = [element_cut(e) for e in range(n_e)]
-
-    outside = [e for e, r in enumerate(results) if r is None or len(r[0]) == 0]
-    if outside:
+    outside = np.flatnonzero(np.bincount(poly_element, minlength=mesh.n_elements) == 0)
+    if len(outside):
         warnings.warn(
             f"{len(outside)} element(s) outside the grid domain were skipped "
             f"(first: element {outside[0]})", stacklevel=2)
-
-    poly_element = []
-    poly_cell = []
-    poly_offsets = [np.zeros(1, dtype=np.int64)]
-    poly_verts = []
-    poly_areas = []
-    gauss_xy = []
-    gauss_w = []
-    gauss_element = []
-    element_gauss_offsets = np.zeros(n_e + 1, dtype=np.int64)
-    vert_base = 0
-    for e, r in enumerate(results):
-        if r is None:
-            element_gauss_offsets[e + 1] = element_gauss_offsets[e]
-            continue
-        cells, offsets, verts, areas, gxy, gw = r
-        poly_element.append(np.full(len(cells), e, dtype=np.int64))
-        poly_cell.append(cells)
-        poly_offsets.append(offsets[1:] + vert_base)
-        vert_base += len(verts)
-        poly_verts.append(verts)
-        poly_areas.append(areas)
-        gauss_xy.append(gxy)
-        gauss_w.append(gw)
-        gauss_element.append(np.full(len(gw), e, dtype=np.int64))
-        element_gauss_offsets[e + 1] = element_gauss_offsets[e] + len(gw)
-
-    poly_element = _cat(poly_element, np.int64)
-    poly_cell = _cat(poly_cell, np.int64, width=2)
-    poly_offsets = np.concatenate(poly_offsets)
-    poly_verts = _cat(poly_verts, float, width=2)
-    poly_areas = _cat(poly_areas, float)
-    gauss_xy = _cat(gauss_xy, float, width=2)
-    gauss_w = _cat(gauss_w, float)
-    gauss_element = _cat(gauss_element, np.int64)
+    gauss_element = np.repeat(poly_element, len(rule) * np.diff(poly_offsets))
+    element_gauss_offsets = np.concatenate(
+        [[0], np.cumsum(np.bincount(gauss_element, minlength=mesh.n_elements))])
 
     # one global Newton batch: each Gauss point inverts its own element map
-    corner = coords[gauss_element]
+    corner = mesh.element_coords()[gauss_element]
     try:
         gauss_ref = newton_inverse_batch(corner[:, :, 0], corner[:, :, 1], gauss_xy)
     except ConvergenceError as exc:
@@ -217,13 +118,6 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid,
                           poly_verts, poly_areas, gauss_xy, gauss_w,
                           gauss_element, gauss_ref, gauss_shape,
                           element_gauss_offsets)
-
-
-def _cat(chunks, dtype, width=None):
-    if chunks:
-        return np.ascontiguousarray(np.concatenate(chunks), dtype=dtype)
-    shape = (0,) if width is None else (0, width)
-    return np.zeros(shape, dtype=dtype)
 
 
 def assemble_supermesh(cache: SupermeshCache, field: ScalarField,

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fieldxfer import (StructuredGrid, assemble_quadrature,
-                       assemble_supermesh, build_supermesh, clip_to_cell,
-                       lagrange_interpolator, rect_mesh, sample_field,
-                       tessellate, trapezoid_integral)
+from fieldxfer import (ConvergenceError, QuadMesh, StructuredGrid,
+                       assemble_quadrature, assemble_supermesh, build_supermesh,
+                       lagrange_interpolator, rect_mesh, sample_field, supermesh,
+                       trapezoid_integral, triangle_rule)
+from fieldxfer._kernels import REL_DEDUP_TOL, clip_and_seed, clip_boxes, fan_gauss
 from conftest import random_convex_quad, random_field, random_grid, shoelace
 
 
@@ -76,39 +79,59 @@ def match_vertex_sets(a, b, tol):
     return True
 
 
+def clip(polys, boxes):
+    """Batched clip returning one (m, 2) vertex array per polygon (empty when
+    dropped). The dedup tolerance scales with the diagonal of the region the
+    boxes span, as build_supermesh scales it with the grid's."""
+    boxes = np.asarray(boxes, dtype=float)
+    diagonal = np.hypot(boxes[:, 1].max() - boxes[:, 0].min(),
+                        boxes[:, 3].max() - boxes[:, 2].min())
+    x, y, n, _ = clip_boxes(polys, boxes, REL_DEDUP_TOL * diagonal)
+    return [np.column_stack([x[k, :n[k]], y[k, :n[k]]]) for k in range(len(n))]
+
+
+def assert_matches_oracle(got, poly, bounds):
+    want = bruteforce_box_clip(poly, bounds)
+    a_got = shoelace(got) if len(got) else 0.0
+    a_want = abs(shoelace(want)) if len(want) else 0.0
+    assert a_got == pytest.approx(a_want, abs=1e-10)
+    if len(got) and len(want):
+        assert match_vertex_sets(got, want, 1e-9)
+    return abs(a_got - a_want)
+
+
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
 class TestClipToCell:
     def test_square_half_overlap(self):
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        out = clip_to_cell(square, (0.5, 1.5, 0.5, 1.5))
+        out = clip([UNIT_SQUARE], [(0.5, 1.5, 0.5, 1.5)])[0]
         assert shoelace(out) == pytest.approx(0.25, rel=1e-14)
 
     def test_fully_inside_unchanged(self):
         square = np.array([[0.2, 0.2], [0.4, 0.2], [0.4, 0.4], [0.2, 0.4]])
-        out = clip_to_cell(square, (0.0, 1.0, 0.0, 1.0))
+        out = clip([square], [(0.0, 1.0, 0.0, 1.0)])[0]
         assert match_vertex_sets(out, square, 0.0)
 
     def test_diamond_corner(self):
         diamond = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
-        out = clip_to_cell(diamond, (0.0, 0.5, 0.0, 0.5))
+        out = clip([diamond], [(0.0, 0.5, 0.0, 0.5)])[0]
         expect = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
         assert match_vertex_sets(out, expect, 1e-15)
         assert shoelace(out) == pytest.approx(0.125, rel=1e-14)
 
     def test_disjoint_is_empty(self):
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert clip_to_cell(square, (2.0, 3.0, 2.0, 3.0)).shape == (0, 2)
+        assert clip([UNIT_SQUARE], [(2.0, 3.0, 2.0, 3.0)])[0].shape == (0, 2)
 
     def test_edge_touch_is_empty(self):
         # zero-area contact is dropped by the area threshold
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert clip_to_cell(square, (1.0, 2.0, 0.0, 1.0)).shape == (0, 2)
+        assert clip([UNIT_SQUARE], [(1.0, 2.0, 0.0, 1.0)])[0].shape == (0, 2)
 
     def test_result_is_ccw_convex(self, rng):
-        for _ in range(50):
-            poly = random_convex_quad(rng)
-            box = (rng.uniform(-0.2, 0.4), rng.uniform(0.6, 1.2),
-                   rng.uniform(-0.2, 0.4), rng.uniform(0.6, 1.2))
-            out = clip_to_cell(poly, box)
+        polys = [random_convex_quad(rng) for _ in range(50)]
+        boxes = [(rng.uniform(-0.2, 0.4), rng.uniform(0.6, 1.2),
+                  rng.uniform(-0.2, 0.4), rng.uniform(0.6, 1.2)) for _ in polys]
+        for out in clip(polys, boxes):
             if len(out) == 0:
                 continue
             assert shoelace(out) > 0
@@ -118,55 +141,122 @@ class TestClipToCell:
             assert np.all(cross >= -1e-12)
 
     def test_matches_bruteforce_oracle(self, rng):
-        mismatch_area = 0.0
-        cases = 0
-        while cases < 1000:
+        polys, boxes = [], []
+        while len(polys) < 1000:
             poly = random_convex_quad(rng)
             x = np.sort(rng.uniform(-0.3, 1.3, 2))
             y = np.sort(rng.uniform(-0.3, 1.3, 2))
             if x[1] - x[0] < 1e-3 or y[1] - y[0] < 1e-3:
                 continue
-            cases += 1
-            bounds = (x[0], x[1], y[0], y[1])
-            got = clip_to_cell(poly, bounds)
-            want = bruteforce_box_clip(poly, bounds)
-            a_got = shoelace(got) if len(got) else 0.0
-            a_want = abs(shoelace(want)) if len(want) else 0.0
-            assert a_got == pytest.approx(a_want, abs=1e-10)
-            if len(got) and len(want):
-                assert match_vertex_sets(got, want, 1e-9)
-            mismatch_area = max(mismatch_area, abs(a_got - a_want))
+            polys.append(poly)
+            boxes.append((x[0], x[1], y[0], y[1]))
+        # a polygon exactly on the cell boundaries of a 2x2 patch: only cell
+        # (0, 0) survives the area cut, the others touch it along an edge or
+        # at a corner
+        on_lines = 0.5 * UNIT_SQUARE
+        polys += [on_lines] * 4
+        boxes += [(0.0, 0.5, 0.0, 0.5), (0.5, 1.0, 0.0, 0.5),
+                  (0.0, 0.5, 0.5, 1.0), (0.5, 1.0, 0.5, 1.0)]
+        # a corner poking 1e-9 into a cell leaves a sliver below the area cut
+        polys.append(UNIT_SQUARE)
+        boxes.append((1.0 - 1e-9, 2.0, 1.0 - 1e-9, 2.0))
+        got = clip(polys, boxes)
+        mismatch_area = max(assert_matches_oracle(g, p, b)
+                            for g, p, b in zip(got, polys, boxes))
         assert mismatch_area < 1e-10
+        assert [len(g) for g in got[-5:]] == [4, 0, 0, 0, 0]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grid_aligned_quads_match_oracle(self, data):
+        # integer grid lines; each quad vertex coordinate is a grid line or a
+        # point of a quarter-unit lattice reaching two units past the grid,
+        # so vertices land on grid nodes, edges run along grid lines and
+        # quads stick out of the grid
+        steps = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+        xs = np.cumsum([0] + data.draw(steps)).astype(float)
+        ys = np.cumsum([0] + data.draw(steps)).astype(float)
+        grid = StructuredGrid(xs, ys)
+
+        def coord(lines):
+            lattice = st.integers(-8, 4 * int(lines[-1]) + 8).map(lambda k: 0.25 * k)
+            return st.one_of(st.sampled_from(lines.tolist()), lattice)
+
+        pts = np.array(data.draw(st.lists(st.tuples(coord(xs), coord(ys)),
+                                          min_size=4, max_size=4, unique=True)))
+        center = pts.mean(axis=0)
+        quad = pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))]
+        v = np.roll(quad, -1, axis=0) - quad
+        w = np.roll(v, -1, axis=0)
+        assume(np.all(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0] > 0.05))
+
+        mesh = QuadMesh(quad, [[0, 1, 2, 3]])
+        cells = clip_and_seed(mesh, grid, triangle_rule())
+        poly_cell, offsets, verts = cells[1], cells[2], cells[3]
+        got = {(int(i), int(j)): verts[offsets[k]:offsets[k + 1]]
+               for k, (i, j) in enumerate(poly_cell)}
+        for j in range(grid.ny - 1):
+            for i in range(grid.nx - 1):
+                assert_matches_oracle(got.get((i, j), np.zeros((0, 2))), quad,
+                                      grid.cell_bounds(i, j))
+
+
+class TestFanGauss:
+    def test_weights_sum_to_shoelace_area(self, rng):
+        # convex polygons with 3 to 8 vertices, zero-padded to one width
+        x = np.zeros((12, 8))
+        y = np.zeros((12, 8))
+        n = np.tile(np.arange(3, 9), 2)
+        for k, m in enumerate(n):
+            angles = np.sort(rng.uniform(0.0, 2 * np.pi, m))
+            radius = rng.uniform(0.5, 2.0)
+            x[k, :m] = rng.uniform(-1, 1) + radius * np.cos(angles)
+            y[k, :m] = rng.uniform(-1, 1) + radius * np.sin(angles)
+        boxes = np.column_stack([x.min(axis=1) - 3, x.max(axis=1) + 3,
+                                 y.min(axis=1) - 3, y.max(axis=1) + 3])
+        gauss_xy, gauss_w = fan_gauss(x, y, n, boxes, triangle_rule())
+        assert gauss_xy.shape == (6 * n.sum(), 2)
+        sums = np.add.reduceat(gauss_w, np.concatenate([[0], np.cumsum(6 * n)[:-1]]))
+        for k, m in enumerate(n):
+            area = shoelace(np.column_stack([x[k, :m], y[k, :m]]))
+            assert sums[k] == pytest.approx(area, rel=1e-13)
+
+
+def fan_triangle_areas(poly):
+    """Areas of the fan triangles ``fan_gauss`` lays on one polygon."""
+    poly = np.asarray(poly, dtype=float)
+    box = np.array([[poly[:, 0].min(), poly[:, 0].max(),
+                     poly[:, 1].min(), poly[:, 1].max()]])
+    rule = triangle_rule()
+    _, gauss_w = fan_gauss(poly[None, :, 0], poly[None, :, 1],
+                           np.array([len(poly)]), box, rule)
+    return gauss_w.reshape(-1, len(rule.weights)).sum(axis=1)
 
 
 class TestTessellate:
     def test_quad_fan(self):
         quad = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-        tris = tessellate(quad)
-        assert tris.shape == (4, 3, 2)
-        areas = [shoelace(t) for t in tris]
-        assert sum(areas) == pytest.approx(2.0, rel=1e-13)
+        areas = fan_triangle_areas(quad)
+        assert areas.shape == (4,)
+        assert np.all(areas > 0)
+        assert areas.sum() == pytest.approx(2.0, rel=1e-13)
 
     def test_triangle_fan(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tris = tessellate(tri)
-        assert tris.shape == (3, 3, 2)
-        assert sum(shoelace(t) for t in tris) == pytest.approx(0.5, rel=1e-13)
+        areas = fan_triangle_areas(tri)
+        assert areas.shape == (3,)
+        assert areas.sum() == pytest.approx(0.5, rel=1e-13)
 
     def test_hexagon_area(self):
         angles = np.linspace(0, 2 * np.pi, 7)[:-1]
         hexa = np.column_stack([np.cos(angles), np.sin(angles)])
-        tris = tessellate(hexa)
-        assert len(tris) == 6
-        total = sum(shoelace(t) for t in tris)
-        assert total == pytest.approx(3 * np.sqrt(3) / 2, rel=1e-12)
-
-    def test_degenerate_empty(self):
-        assert tessellate(np.array([[0.0, 0.0], [1.0, 1.0]])).shape == (0, 3, 2)
-        nearly = np.array([[0.0, 0.0], [1e-16, 0.0], [0.0, 1e-16]])
-        assert tessellate(nearly, dedup_tol=1e-12).shape == (0, 3, 2)
+        areas = fan_triangle_areas(hexa)
+        assert len(areas) == 6
+        assert areas.sum() == pytest.approx(3 * np.sqrt(3) / 2, rel=1e-12)
 
 
+# the clip divides only on edges that cross the clip line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBuildSupermesh:
     def test_single_element_on_2x2_patch(self):
         grid = StructuredGrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
@@ -219,14 +309,18 @@ class TestBuildSupermesh:
         assert covered[0] == pytest.approx(1.0, rel=1e-12)
         assert covered[1] == covered[2] == 0.0
 
-    def test_threads_match_serial(self, rng):
-        grid = random_grid(rng, nx=15, ny=13)
-        mesh = rect_mesh(0.1, 0.1, 0.9, 0.9, 6, 5)
-        a = build_supermesh(mesh, grid)
-        b = build_supermesh(mesh, grid, threads=4)
-        assert np.array_equal(a.gauss_xy, b.gauss_xy)
-        assert np.array_equal(a.gauss_w, b.gauss_w)
-        assert np.array_equal(a.poly_areas, b.poly_areas)
+    def test_newton_failure_names_element(self, monkeypatch):
+        grid = StructuredGrid([0.0, 0.5, 1.0], [0.0, 1.0])
+        mesh = rect_mesh(0, 0, 1, 1, 2, 1)
+
+        def fail(corner_x, corner_y, points):
+            raise ConvergenceError("no convergence", point_index=len(points) - 1,
+                                   residual=1.0)
+
+        monkeypatch.setattr(supermesh, "newton_inverse_batch", fail)
+        with pytest.raises(ConvergenceError, match="element 1 at point") as info:
+            build_supermesh(mesh, grid)
+        assert info.value.point_index == 2 * 4 * 6 - 1
 
     def test_dump_polygons(self, tmp_path):
         grid = StructuredGrid([0.0, 0.5, 1.0], [0.0, 1.0])
