@@ -155,7 +155,8 @@ def _clip_half_plane(x, y, n, on_x, bound, keep_below):
     else:
         ix, iy = xp + t * (x - xp), bound
     def interleave(crossing, vertex):
-        return np.stack([crossing, vertex], axis=2).reshape(len(x), -1)
+        # explicit width: -1 cannot be inferred when there are no rows
+        return np.stack([crossing, vertex], axis=2).reshape(len(x), 2 * x.shape[1])
 
     return _compact(interleave(cross, in1), [interleave(ix, x), interleave(iy, y)])
 

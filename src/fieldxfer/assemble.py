@@ -2,85 +2,48 @@
 
 The pipeline is staged: tensor Gauss points are generated for all elements
 at once, the field is reconstructed at every point in a single batched
-call, and the weighted shape-function contributions are scattered into the
-global vector. Serial assembly is bitwise reproducible; threaded assembly
-merges per-block partial vectors in fixed block order and is therefore
-reproducible as well.
+call, and the weighted shape-function contributions are accumulated into
+the global vector. Assembly is bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .fem import QuadMesh, jacobian_all, shape_functions, tensor_product_rule
+from .fem import (QuadMesh, accumulate, forward_map, jacobian_all, shape_functions,
+                  tensor_product_rule)
 from .interp import Interpolator
 
 
-def assemble_quadrature(mesh: QuadMesh, interp: Interpolator, n_gauss: int,
-                        threads: int | None = None) -> np.ndarray:
+def assemble_quadrature(mesh: QuadMesh, interp: Interpolator, n_gauss: int) -> np.ndarray:
     """Load vector b_i = sum_e sum_q w_q N_i(xi_q) f(x_q) det J(xi_q)
     with f reconstructed from the grid field.
 
     The mesh must lie inside the interpolator's grid domain.
     """
-    return _assemble(mesh, interp.evaluate, n_gauss, threads)
+    return _assemble(mesh, interp.evaluate, n_gauss)
 
 
-def assemble_quadrature_analytic(mesh: QuadMesh, func, n_gauss: int,
-                                 threads: int | None = None) -> np.ndarray:
+def assemble_quadrature_analytic(mesh: QuadMesh, func, n_gauss: int) -> np.ndarray:
     """Same quadrature assembly with f evaluated analytically (no
     interpolation); func(x, y) must accept arrays."""
-    return _assemble(mesh, lambda pts: func(pts[:, 0], pts[:, 1]), n_gauss, threads)
+    return _assemble(mesh, lambda pts: func(pts[:, 0], pts[:, 1]), n_gauss)
 
 
-def _assemble(mesh, evaluate, n_gauss, threads):
+def _assemble(mesh, evaluate, n_gauss):
     if n_gauss < 1:
         raise ValueError("n_gauss must be >= 1")
     rule = tensor_product_rule(n_gauss)
     N, _, _ = shape_functions(rule.points)        # (nq, 4)
     _, det = jacobian_all(mesh, rule.points)      # (Ne, nq)
-    coords = mesh.nodes[mesh.elements]            # (Ne, 4, 2)
-    phys = np.einsum("qj,ejd->eqd", N, coords)    # (Ne, nq, 2)
+    phys = forward_map(mesh, None, rule.points)   # (Ne, nq, 2)
     try:
         f = evaluate(phys.reshape(-1, 2)).reshape(len(mesh.elements), len(rule))
     except DomainError as exc:
         raise DomainError(f"mesh quadrature point outside grid domain: {exc}") from exc
     contrib = rule.weights[None, :] * f * det     # (Ne, nq)
-    return _scatter(mesh, N, contrib, threads)
-
-
-def _scatter(mesh, N, contrib, threads):
-    """Accumulate per-element contributions into the global vector.
-
-    The per-element-node values are computed in one pass; blocks then only
-    bin-count disjoint element ranges and the partial vectors are summed in
-    block order, so the result is bitwise identical for any thread count.
-    """
-    n_nodes = mesh.n_nodes
-    elements = mesh.elements
-    local = np.einsum("eq,qj->ej", contrib, N)
-
-    def block(lo, hi):
-        return np.bincount(elements[lo:hi].ravel(), weights=local[lo:hi].ravel(),
-                           minlength=n_nodes)
-
-    if not threads or threads <= 1 or len(elements) < 2048:
-        return block(0, len(elements))
-    bounds = _block_bounds(len(elements), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda lohi: block(*lohi), bounds))
-    b = partials[0]
-    for part in partials[1:]:
-        b += part
-    return b
-
-
-def _block_bounds(n, threads):
-    edges = np.linspace(0, n, threads + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    return accumulate(mesh.elements, contrib @ N, mesh.n_nodes)
 
 
 # --- RHS text format --------------------------------------------------------

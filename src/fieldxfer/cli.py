@@ -38,17 +38,6 @@ def _parse_k(text: str) -> float:
     return float(text)
 
 
-def _default_threads():
-    env = os.environ.get("FIELDXFER_THREADS", "")
-    return int(env) if env else None
-
-
-def _add_common(parser):
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads for the load-vector scatter "
-                             "(default: FIELDXFER_THREADS or serial)")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fieldxfer",
@@ -82,7 +71,6 @@ def _build_parser():
                       help="write the intersection polygons as a text "
                            "polygon soup (supermesh method only)")
     p_tr.add_argument("--output", "-o", required=True, help="RHS output path")
-    _add_common(p_tr)
 
     p_st = sub.add_parser("study", help="run a reproduction study")
     st_sub = p_st.add_subparsers(dest="study", required=True)
@@ -111,7 +99,6 @@ def _build_parser():
                            help="reconstruction for quad-sweep (omit for "
                                 "analytic mode)")
             p.add_argument("--repetitions", type=int, default=5)
-            _add_common(p)
 
     p_gm = sub.add_parser("genmesh", help="write a structured QM1 mesh")
     p_gm.add_argument("--mesh-rect", type=float, nargs=4, required=True,
@@ -166,10 +153,10 @@ def _cmd_transfer(args, parser):
         cache = build_supermesh(mesh, field.grid)
         if args.dump_supermesh:
             cache.dump_polygons(args.dump_supermesh)
-        b = assemble_supermesh(cache, field, args.interp, threads=args.threads)
+        b = assemble_supermesh(cache, field, args.interp)
     else:
         interp = make_interpolator(field, args.interp)
-        b = assemble_quadrature(mesh, interp, args.gauss, threads=args.threads)
+        b = assemble_quadrature(mesh, interp, args.gauss)
     write_rhs(args.output, b)
     total = float(b.sum())
     print(f"total_integral {total:.17g}")
@@ -182,7 +169,7 @@ def _cmd_transfer(args, parser):
 
 
 def _study_config(args):
-    cfg = StudyConfig(repetitions=args.repetitions, threads=args.threads)
+    cfg = StudyConfig(repetitions=args.repetitions)
     if args.domain:
         x0, x1, y0, y1 = args.domain
         cfg.domain = (x0, y0, x1, y1)

@@ -38,9 +38,11 @@ class QuadMesh:
             raise ValueError("elements must be an (Ne, 4) array")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise ValueError("element connectivity references unknown nodes")
-        for row in elements:
-            if len(set(row.tolist())) != 4:
-                raise ValueError(f"element {row} repeats a node")
+        ordered = np.sort(elements, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if len(repeats):
+            e = int(repeats[0])
+            raise ValueError(f"element {e} {elements[e].tolist()} repeats a node")
         self.nodes = nodes
         self.elements = elements
         self.nodes.flags.writeable = False
@@ -127,8 +129,12 @@ def shape_functions(ref_points):
     return N, dN_dxi, dN_deta
 
 
-def forward_map(mesh: QuadMesh, e: int, ref_points) -> np.ndarray:
-    """Physical coordinates X(xi) of reference points in element e."""
+def forward_map(mesh: QuadMesh, e: int | None, ref_points) -> np.ndarray:
+    """Physical coordinates X(xi) of reference points.
+
+    (..., 2) for one element e; with e=None the (nq, 2) points are mapped
+    in every element at once, giving (Ne, nq, 2).
+    """
     N, _, _ = shape_functions(ref_points)
     return N @ mesh.element_coords(e)
 
@@ -246,6 +252,20 @@ def newton_inverse_batch(corner_x, corner_y, points, tol: float = NEWTON_TOL,
         f"inverse mapping did not converge for point {k} "
         f"(residual {residual[k]:.3e} after {max_iter} iterations)",
         point_index=k, residual=float(residual[k]))
+
+
+# --- load vector ------------------------------------------------------------
+
+
+def accumulate(nodes, values, n_nodes: int) -> np.ndarray:
+    """Global load vector: sum each value into its node.
+
+    nodes and values have the same shape (any); the result is a float64
+    vector of length n_nodes, zero where no value lands.
+    """
+    b = np.bincount(nodes.ravel(), weights=values.ravel(), minlength=n_nodes)
+    # bincount returns int64 when the weights are empty
+    return b.astype(np.float64, copy=False)
 
 
 # --- quadrature rules -------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import assemble_quadrature, assemble_quadrature_analytic
-from .fem import rect_mesh, shape_functions, tensor_product_rule
+from .fem import forward_map, rect_mesh, tensor_product_rule
 from .grid import StructuredGrid, read_fdf, sample_field, trapezoid_integral
 from .interp import bspline_interpolator, make_interpolator
 from .supermesh import assemble_supermesh, build_supermesh
@@ -74,7 +74,6 @@ class StudyConfig:
     n_gauss: int = 3
     reconstruction: str = "lagrange:3"
     repetitions: int = 5
-    threads: int | None = None
 
     def validate_sweep(self):
         if not self.sweep:
@@ -200,15 +199,13 @@ def run_interp_convergence(cfg: StudyConfig) -> StudyResult:
     f = sine_product(cfg.analytic_k)
     mesh = rect_mesh(x0, y0, x1, y1, *cfg.mesh_elems)
     rule = tensor_product_rule(cfg.n_gauss)
-    N, _, _ = shape_functions(rule.points)
-    coords = mesh.nodes[mesh.elements]
-    pts = np.einsum("qj,ejd->eqd", N, coords).reshape(-1, 2)
+    pts = forward_map(mesh, None, rule.points).reshape(-1, 2)
     f_exact = f(pts[:, 0], pts[:, 1])
     norm = float(np.linalg.norm(f_exact))
     result = StudyResult(
         "interp-convergence",
         meta={"k": cfg.analytic_k, "mesh": cfg.mesh_elems,
-              "n_gauss": cfg.n_gauss, "threads": cfg.threads or 1})
+              "n_gauss": cfg.n_gauss})
     for h in cfg.sweep:
         n = int(round((x1 - x0) / h)) + 1
         grid = StructuredGrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n))
@@ -256,14 +253,13 @@ def run_quadrature_sweep(cfg: StudyConfig) -> StudyResult:
     mode = (cfg.reconstruction or "lagrange:3") if interpolated else "analytic"
     result = StudyResult(
         "quad-sweep",
-        meta={"k": cfg.analytic_k, "mode": mode, "reference": i_ref,
-              "threads": cfg.threads or 1})
+        meta={"k": cfg.analytic_k, "mode": mode, "reference": i_ref})
     for ng in cfg.sweep:
         ng = int(ng)
         if interpolated:
-            run = lambda: assemble_quadrature(mesh, interp, ng, threads=cfg.threads)
+            run = lambda: assemble_quadrature(mesh, interp, ng)
         else:
-            run = lambda: assemble_quadrature_analytic(mesh, f, ng, threads=cfg.threads)
+            run = lambda: assemble_quadrature_analytic(mesh, f, ng)
         dt, b = _median_time(run, cfg.repetitions)
         total = float(b.sum())
         result.add(ng, f"quad/{mode}", abs(total - i_ref) / abs(i_ref), dt, total)
@@ -301,7 +297,7 @@ def run_href_study(cfg: StudyConfig) -> StudyResult:
     result = StudyResult(
         "href",
         meta={"grid": (grid.nx, grid.ny), "field": field_name,
-              "reference": i_ref, "threads": cfg.threads or 1})
+              "reference": i_ref})
     for n in cfg.sweep:
         n = int(n)
         mesh = rect_mesh(x0, y0, x1, y1, n, n)
@@ -310,11 +306,10 @@ def run_href_study(cfg: StudyConfig) -> StudyResult:
         setup_t = time.perf_counter() - t0
         for method, reconstruction, ng in _HREF_METHODS:
             if method == "supermesh":
-                run = lambda: assemble_supermesh(cache, fld, reconstruction,
-                                                 threads=cfg.threads)
+                run = lambda: assemble_supermesh(cache, fld, reconstruction)
             else:
                 interp = make_interpolator(fld, reconstruction)
-                run = lambda: assemble_quadrature(mesh, interp, ng, threads=cfg.threads)
+                run = lambda: assemble_quadrature(mesh, interp, ng)
             dt, b = _median_time(run, cfg.repetitions)
             total = float(b.sum())
             err = abs(total - i_ref) / abs(i_ref)
@@ -339,7 +334,7 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
         "weak-scaling",
         meta={"field": cfg.surrogate or "analytic",
               "reconstruction": cfg.reconstruction,
-              "n_gauss": cfg.n_gauss, "threads": cfg.threads or 1})
+              "n_gauss": cfg.n_gauss})
     for n in cfg.sweep:
         n = int(n)
         n_elems = n * n
@@ -351,16 +346,14 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
         t0 = time.perf_counter()
         cache = build_supermesh(mesh, grid)
         setup_t = time.perf_counter() - t0
-        dt, b = _median_time(
-            lambda: assemble_supermesh(cache, fld, "bilinear", threads=cfg.threads),
-            cfg.repetitions)
+        dt, b = _median_time(lambda: assemble_supermesh(cache, fld, "bilinear"),
+                             cfg.repetitions)
         err = abs(float(b.sum()) - i_ref) / abs(i_ref)
         result.add(n_elems, "supermesh", err, dt, float(b.sum()))
         result.add(n_elems, "supermesh/setup", err, setup_t, float(b.sum()))
         interp = make_interpolator(fld, cfg.reconstruction)
-        dt, b = _median_time(
-            lambda: assemble_quadrature(mesh, interp, cfg.n_gauss, threads=cfg.threads),
-            cfg.repetitions)
+        dt, b = _median_time(lambda: assemble_quadrature(mesh, interp, cfg.n_gauss),
+                             cfg.repetitions)
         err = abs(float(b.sum()) - i_ref) / abs(i_ref)
         result.add(n_elems, "quadrature", err, dt, float(b.sum()))
     return result
@@ -373,9 +366,9 @@ def emit_table1(results: dict) -> str:
     """Markdown comparison table built from completed study results.
 
     Expects any of the keys ``href`` (conservation + error floor; may be a
-    list with one result per source field), ``weak_scaling`` (runtime
-    slopes), ``href_pair`` alias of a two-field href list. Raises on empty
-    input; single-study input yields a partial table.
+    list with one result per source field) and ``weak_scaling`` (runtime
+    slopes). Raises on empty input; single-study input yields a partial
+    table.
     """
     if not results or not any(v for v in results.values()):
         raise ValueError("no study results to summarize")

@@ -3,8 +3,8 @@
 Setup phase (once per mesh/grid pair): every element is clipped against its
 candidate grid cells, each intersection polygon is fan-tessellated around
 its vertex centroid, triangle Gauss points are seeded in physical space,
-and the element-reference coordinates plus shape-function values at every
-Gauss point are precomputed by batched Newton inversion.
+and the shape-function values at every Gauss point are precomputed from
+its element-reference coordinates, found by batched Newton inversion.
 
 Execution phase (once per field/timestep): reconstruct the field at the
 cached Gauss points and accumulate b_k = sum |T_m| w_q N_k(xi_q) f(x_q).
@@ -16,13 +16,12 @@ reconstruction is preserved exactly.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError
-from .fem import QuadMesh, newton_inverse_batch, shape_functions, triangle_rule
+from .fem import QuadMesh, accumulate, newton_inverse_batch, shape_functions, triangle_rule
 from .grid import ScalarField, StructuredGrid
 from .interp import Interpolator, make_interpolator
 
@@ -32,13 +31,13 @@ class SupermeshCache:
 
     Immutable after :func:`build_supermesh`; holds flat per-polygon arrays
     (cell indices, vertices, areas) for inspection and flat per-Gauss-point
-    arrays (physical position, weight |T_m| w_q, owning element, reference
-    coordinates, shape values) for the execution phase.
+    arrays (physical position, weight |T_m| w_q, owning element, shape
+    values) for the execution phase.
     """
 
     def __init__(self, mesh, grid, poly_element, poly_cell, poly_offsets,
                  poly_verts, poly_areas, gauss_xy, gauss_w, gauss_element,
-                 gauss_ref, gauss_shape, element_gauss_offsets):
+                 gauss_shape, element_gauss_offsets):
         self.mesh = mesh
         self.grid = grid
         self.poly_element = poly_element
@@ -49,7 +48,6 @@ class SupermeshCache:
         self.gauss_xy = gauss_xy
         self.gauss_w = gauss_w
         self.gauss_element = gauss_element
-        self.gauss_ref = gauss_ref
         self.gauss_shape = gauss_shape
         self.element_gauss_offsets = element_gauss_offsets
 
@@ -116,13 +114,11 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
 
     return SupermeshCache(mesh, grid, poly_element, poly_cell, poly_offsets,
                           poly_verts, poly_areas, gauss_xy, gauss_w,
-                          gauss_element, gauss_ref, gauss_shape,
-                          element_gauss_offsets)
+                          gauss_element, gauss_shape, element_gauss_offsets)
 
 
 def assemble_supermesh(cache: SupermeshCache, field: ScalarField,
-                       reconstruction="bilinear",
-                       threads: int | None = None) -> np.ndarray:
+                       reconstruction="bilinear") -> np.ndarray:
     """Execution phase: evaluate the reconstruction at the cached Gauss
     points and accumulate the load vector.
 
@@ -139,28 +135,6 @@ def assemble_supermesh(cache: SupermeshCache, field: ScalarField,
     else:
         interp = make_interpolator(field, reconstruction)
     f = interp.evaluate(cache.gauss_xy)
-    contrib = cache.gauss_w * f
-    return _scatter_gauss(cache, contrib, threads)
-
-
-def _scatter_gauss(cache, contrib, threads):
-    mesh = cache.mesh
-    n_nodes = mesh.n_nodes
-    conn = mesh.elements
-
-    def block(lo, hi):
-        sl = slice(cache.element_gauss_offsets[lo], cache.element_gauss_offsets[hi])
-        nodes = conn[cache.gauss_element[sl]]
-        vals = cache.gauss_shape[sl] * contrib[sl, None]
-        return np.bincount(nodes.ravel(), weights=vals.ravel(), minlength=n_nodes)
-
-    if not threads or threads <= 1 or mesh.n_elements < 2048:
-        return block(0, mesh.n_elements)
-    edges = np.linspace(0, mesh.n_elements, threads + 1).astype(int)
-    bounds = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda lohi: block(*lohi), bounds))
-    b = partials[0]
-    for part in partials[1:]:
-        b += part
-    return b
+    return accumulate(cache.mesh.elements[cache.gauss_element],
+                      cache.gauss_shape * (cache.gauss_w * f)[:, None],
+                      cache.mesh.n_nodes)

@@ -45,6 +45,11 @@ class TestGeometryMap:
         for e in range(mesh.n_elements):
             x = forward_map(mesh, e, [-1.0, -1.0])
             assert np.allclose(x, mesh.nodes[mesh.elements[e, 0]])
+        # e=None maps the points in every element at once
+        corners = np.column_stack([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+        x = forward_map(mesh, None, corners)
+        assert x.shape == (mesh.n_elements, 4, 2)
+        assert np.allclose(x, mesh.element_coords())
 
     def test_trapezoid_center(self):
         mesh = QuadMesh([[0, 0], [2, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
@@ -185,6 +190,9 @@ class TestQuadMesh:
     def test_rejects_repeated_node(self):
         with pytest.raises(ValueError, match="repeats"):
             QuadMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 2]])
+        nodes = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        with pytest.raises(ValueError, match=r"element 2 \[1, 4, 2, 1\] repeats"):
+            QuadMesh(nodes, [[0, 1, 4, 3], [1, 2, 5, 4], [1, 4, 2, 1]])
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError, match="unknown"):
