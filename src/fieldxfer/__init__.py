@@ -13,7 +13,7 @@ from .assemble import (assemble_quadrature, assemble_quadrature_analytic,
 from .errors import (ConvergenceError, DomainError, FieldTransferError,
                      FormatError, SingularMapError)
 from .fem import (QuadMesh, QuadratureRule, forward_map, gauss_legendre,
-                  inverse_map, jacobian, read_qm1, rect_mesh, shape_functions,
+                  inverse_map, read_qm1, rect_mesh, shape_functions,
                   tensor_product_rule, triangle_rule, write_qm1)
 from .grid import (ScalarField, StructuredGrid, read_fdf, sample_field,
                    trapezoid_integral, trapezoid_weights, write_fdf)
@@ -32,7 +32,7 @@ __all__ = [
     "Interpolator", "bspline_interpolator", "lagrange_interpolator",
     "make_interpolator",
     "QuadMesh", "QuadratureRule", "rect_mesh", "shape_functions",
-    "forward_map", "jacobian", "inverse_map", "gauss_legendre",
+    "forward_map", "inverse_map", "gauss_legendre",
     "tensor_product_rule", "triangle_rule", "read_qm1", "write_qm1",
     "assemble_quadrature", "assemble_quadrature_analytic",
     "read_rhs", "write_rhs",

@@ -36,7 +36,7 @@ def _assemble(mesh, evaluate, n_gauss):
         raise ValueError("n_gauss must be >= 1")
     rule = tensor_product_rule(n_gauss)
     N, _, _ = shape_functions(rule.points)        # (nq, 4)
-    _, det = jacobian_all(mesh, rule.points)      # (Ne, nq)
+    det = jacobian_all(mesh, rule.points)         # (Ne, nq)
     phys = forward_map(mesh, None, rule.points)   # (Ne, nq, 2)
     try:
         f = evaluate(phys.reshape(-1, 2)).reshape(len(mesh.elements), len(rule))

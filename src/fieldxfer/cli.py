@@ -12,22 +12,17 @@ import argparse
 import math
 import os
 import sys
-
-import numpy as np
+from collections import namedtuple
 
 from .assemble import assemble_quadrature, write_rhs
 from .errors import ConvergenceError, FieldTransferError, FormatError, SingularMapError
 from .fem import read_qm1, rect_mesh, write_qm1
-from .grid import StructuredGrid, read_fdf, sample_field, trapezoid_integral, write_fdf
-from .harness import (COMPARATIVE_DOMAIN, StudyConfig, StudyResult, emit_table1,
+from .grid import read_fdf, trapezoid_integral, write_fdf
+from .harness import (StudyConfig, StudyResult, emit_table1, field_source,
                       run_href_study, run_interp_convergence, run_quadrature_sweep,
-                      run_weak_scaling, sine_product, surrogate_field)
+                      run_weak_scaling)
 from .interp import make_interpolator
 from .supermesh import assemble_supermesh, build_supermesh
-
-DEFAULT_INTERP_SWEEP = tuple(1.0 / n for n in (41, 58, 81, 115, 163, 230))
-DEFAULT_HREF_SWEEP = (10, 20, 40, 80)
-DEFAULT_SCALING_SWEEP = (40, 57, 80, 113, 160)
 
 
 def _parse_k(text: str) -> float:
@@ -36,6 +31,51 @@ def _parse_k(text: str) -> float:
     if text.endswith("pi"):
         return float(text[:-2] or 1.0) * math.pi
     return float(text)
+
+
+# Each study flag sets the StudyConfig field named by its dest.
+STUDY_FLAGS = {
+    "--domain": dict(type=float, nargs=4, metavar=("X0", "X1", "Y0", "Y1"),
+                     help="study rectangle (default: unit square; for "
+                          "--surrogate the comparative domain)"),
+    "--analytic": dict(dest="analytic_k", type=_parse_k, metavar="K",
+                       help="sin(Kx)sin(Ky) source, K like '2.5pi' (default)"),
+    "--surrogate": dict(choices=["smooth", "oscillatory"]),
+    "--field": dict(dest="field_path", metavar="PATH", help="FDF v1 field file"),
+    "--mesh-elems": dict(type=int, nargs=2, metavar=("NX", "NY")),
+    "--grid-points": dict(type=int, nargs=2, metavar=("NX", "NY")),
+    "--interp": dict(dest="reconstruction", metavar="SPEC",
+                     help="reconstruction: bilinear | bspline:P | lagrange:P"),
+    "--sweep": dict(type=float, nargs="+", metavar="V",
+                    help="sweep values (h, Gauss orders, or mesh sizes)"),
+    "--repetitions": dict(type=int, metavar="N"),
+}
+SOURCE_FLAGS = ("--analytic", "--surrogate", "--field")
+COMMON_FLAGS = ("--sweep", "--repetitions")
+
+Study = namedtuple("Study", "run help flags defaults")
+# The flags each study runner reads besides COMMON_FLAGS, which every study
+# takes, and the StudyConfig defaults it starts from.
+STUDIES = {
+    "interp-convergence": Study(
+        run_interp_convergence, "interpolation error vs grid spacing",
+        ("--domain", "--analytic", "--mesh-elems"),
+        {"sweep": tuple(1.0 / n for n in (41, 58, 81, 115, 163, 230))}),
+    "quad-sweep": Study(
+        run_quadrature_sweep, "integral error vs Gauss order",
+        ("--domain", "--analytic", "--field", "--mesh-elems", "--grid-points",
+         "--interp"),
+        # no --interp means analytic mode
+        {"sweep": tuple(range(1, 11)), "reconstruction": None}),
+    "href": Study(
+        run_href_study, "error vs target mesh resolution",
+        ("--domain", "--analytic", "--surrogate", "--field", "--grid-points"),
+        {"sweep": (10, 20, 40, 80)}),
+    "weak-scaling": Study(
+        run_weak_scaling, "runtime vs element count",
+        ("--domain", "--analytic", "--surrogate", "--interp"),
+        {"sweep": (40, 57, 80, 113, 160)}),
+}
 
 
 def _build_parser():
@@ -48,8 +88,9 @@ def _build_parser():
     p_tr = sub.add_parser("transfer", help="assemble and write an RHS vector")
     p_tr.add_argument("--method", choices=["supermesh", "quad"], required=True)
     src = p_tr.add_argument_group("field source (exactly one)")
+    src = src.add_mutually_exclusive_group(required=True)
     src.add_argument("--field", help="FDF v1 field file")
-    src.add_argument("--analytic", metavar="K",
+    src.add_argument("--analytic", type=_parse_k, metavar="K",
                      help="sample sin(Kx)sin(Ky) instead of reading a file "
                           "(K like '2.5pi'); needs --grid-points")
     p_tr.add_argument("--grid-points", type=int, nargs=2, metavar=("NX", "NY"),
@@ -58,6 +99,7 @@ def _build_parser():
                       metavar=("X0", "Y0", "X1", "Y1"),
                       help="grid rectangle for --analytic (default: mesh extent)")
     msh = p_tr.add_argument_group("mesh source (exactly one)")
+    msh = msh.add_mutually_exclusive_group(required=True)
     msh.add_argument("--mesh", help="QM1 mesh file")
     msh.add_argument("--mesh-rect", type=float, nargs=4,
                      metavar=("X0", "Y0", "X1", "Y1"))
@@ -74,31 +116,19 @@ def _build_parser():
 
     p_st = sub.add_parser("study", help="run a reproduction study")
     st_sub = p_st.add_subparsers(dest="study", required=True)
-    for name, help_text in [
-            ("interp-convergence", "interpolation error vs grid spacing"),
-            ("quad-sweep", "integral error vs Gauss order"),
-            ("href", "error vs target mesh resolution"),
-            ("weak-scaling", "runtime vs element count"),
-            ("table1", "summary table from completed studies")]:
-        p = st_sub.add_parser(name, help=help_text)
+    for name, study in STUDIES.items():
+        # flags left out stay out of the namespace, so StudyConfig keeps
+        # its defaults
+        p = st_sub.add_parser(name, help=study.help,
+                              argument_default=argparse.SUPPRESS)
+        sources = [f for f in study.flags if f in SOURCE_FLAGS]
+        group = p.add_mutually_exclusive_group() if len(sources) > 1 else p
+        for flag in study.flags + COMMON_FLAGS:
+            (group if flag in sources else p).add_argument(flag, **STUDY_FLAGS[flag])
         p.add_argument("--output-dir", default=".",
-                       help="directory for CSV/.dat/report files")
-        if name != "table1":
-            p.add_argument("--domain", type=float, nargs=4,
-                           metavar=("X0", "X1", "Y0", "Y1"))
-            p.add_argument("--analytic", metavar="K", default=None)
-            p.add_argument("--surrogate", choices=["smooth", "oscillatory"])
-            p.add_argument("--field", help="FDF v1 field file")
-            p.add_argument("--mesh-elems", type=int, nargs=2, default=(40, 40),
-                           metavar=("NX", "NY"))
-            p.add_argument("--grid-points", type=int, nargs=2, default=(201, 201),
-                           metavar=("NX", "NY"))
-            p.add_argument("--sweep", type=float, nargs="+",
-                           help="sweep values (h, Gauss orders, or mesh sizes)")
-            p.add_argument("--interp", default=None,
-                           help="reconstruction for quad-sweep (omit for "
-                                "analytic mode)")
-            p.add_argument("--repetitions", type=int, default=5)
+                       help="directory for CSV/.dat files")
+    st_sub.add_parser("table1", help="summary table from completed studies").add_argument(
+        "--output-dir", default=".", help="directory of the study CSVs and table1.md")
 
     p_gm = sub.add_parser("genmesh", help="write a structured QM1 mesh")
     p_gm.add_argument("--mesh-rect", type=float, nargs=4, required=True,
@@ -112,39 +142,27 @@ def _build_parser():
                       metavar=("X0", "Y0", "X1", "Y1"))
     p_gf.add_argument("--grid-points", type=int, nargs=2, required=True,
                       metavar=("NX", "NY"))
-    p_gf.add_argument("--analytic", metavar="K", default="2.5pi",
-                      help="sin(Kx)sin(Ky) wavenumber (default 2.5pi)")
-    p_gf.add_argument("--surrogate", choices=["smooth", "oscillatory"],
-                      help="use a surrogate source field instead of --analytic")
+    src = p_gf.add_mutually_exclusive_group()
+    src.add_argument("--analytic", type=_parse_k, metavar="K", default="2.5pi",
+                     help="sin(Kx)sin(Ky) wavenumber (default 2.5pi)")
+    src.add_argument("--surrogate", choices=["smooth", "oscillatory"],
+                     help="use a surrogate source field instead of --analytic")
     p_gf.add_argument("--output", "-o", required=True)
     return parser
 
 
 def _load_transfer_inputs(args, parser):
-    if (args.mesh is None) == (args.mesh_rect is None):
-        parser.error("specify exactly one of --mesh / --mesh-rect")
-    if args.mesh is not None:
-        mesh = read_qm1(args.mesh)
-    else:
-        if args.mesh_elems is None:
-            parser.error("--mesh-rect needs --mesh-elems")
-        mesh = rect_mesh(*args.mesh_rect, *args.mesh_elems)
-    if (args.field is None) == (args.analytic is None):
-        parser.error("specify exactly one of --field / --analytic")
+    if args.mesh is None and args.mesh_elems is None:
+        parser.error("--mesh-rect needs --mesh-elems")
+    mesh = read_qm1(args.mesh) if args.mesh else rect_mesh(*args.mesh_rect, *args.mesh_elems)
     if args.field is not None:
-        field = read_fdf(args.field)
-    else:
-        if args.grid_points is None:
-            parser.error("--analytic needs --grid-points")
-        rect = args.grid_rect
-        if rect is None:
-            xmin, ymin = mesh.nodes.min(axis=0)
-            xmax, ymax = mesh.nodes.max(axis=0)
-            rect = (xmin, ymin, xmax, ymax)
-        grid = StructuredGrid(np.linspace(rect[0], rect[2], args.grid_points[0]),
-                              np.linspace(rect[1], rect[3], args.grid_points[1]))
-        field = sample_field(grid, sine_product(_parse_k(args.analytic)))
-    return mesh, field
+        # read here, not in field_source, so that the benchmark tracer, which
+        # patches this module's read_fdf, sees the file read
+        return mesh, read_fdf(args.field)
+    if args.grid_points is None:
+        parser.error("--analytic needs --grid-points")
+    rect = args.grid_rect or (*mesh.nodes.min(axis=0), *mesh.nodes.max(axis=0))
+    return mesh, field_source(args.analytic, rect=rect).sample(args.grid_points)
 
 
 def _cmd_transfer(args, parser):
@@ -154,58 +172,49 @@ def _cmd_transfer(args, parser):
         if args.dump_supermesh:
             cache.dump_polygons(args.dump_supermesh)
         b = assemble_supermesh(cache, field, args.interp)
+        covered = cache.covered_areas().sum()
     else:
         interp = make_interpolator(field, args.interp)
         b = assemble_quadrature(mesh, interp, args.gauss)
+        covered = mesh.element_areas().sum()
     write_rhs(args.output, b)
     total = float(b.sum())
     print(f"total_integral {total:.17g}")
     i_ref = trapezoid_integral(field)
-    rel = abs(total - i_ref) / abs(i_ref) if i_ref != 0.0 else abs(total)
     print(f"trapezoid_reference {i_ref:.17g}")
-    print(f"conservation_rel_err {rel:.3e}")
+    # the reference integrates the whole grid, so it only checks a mesh
+    # that covers the whole grid
+    x0, y0, x1, y1 = field.grid.bounds
+    grid_area = (x1 - x0) * (y1 - y0)
+    if abs(covered - grid_area) > 1e-12 * grid_area:
+        print(f"conservation_rel_err n/a (the mesh covers {covered / grid_area:.6g} "
+              f"of the grid area)")
+    else:
+        rel = abs(total - i_ref) / abs(i_ref) if i_ref != 0.0 else abs(total)
+        print(f"conservation_rel_err {rel:.3e}")
     print(f"wrote {args.output} ({b.size} nodes)")
     return 0
 
 
-def _study_config(args):
-    cfg = StudyConfig(repetitions=args.repetitions)
-    if args.domain:
-        x0, x1, y0, y1 = args.domain
-        cfg.domain = (x0, y0, x1, y1)
-    elif args.surrogate:
-        cfg.domain = COMPARATIVE_DOMAIN
-    if args.analytic:
-        cfg.analytic_k = _parse_k(args.analytic)
-    cfg.surrogate = args.surrogate
-    cfg.field_path = args.field
-    cfg.mesh_elems = tuple(args.mesh_elems)
-    cfg.grid_points = tuple(args.grid_points)
-    return cfg
+def _study_config(args) -> StudyConfig:
+    given = {k: tuple(v) if isinstance(v, list) else v
+             for k, v in vars(args).items()
+             if k not in ("command", "study", "output_dir")}
+    if "domain" in given:
+        x0, x1, y0, y1 = given["domain"]
+        given["domain"] = (x0, y0, x1, y1)
+    return StudyConfig(**{**STUDIES[args.study].defaults, **given})
 
 
-def _cmd_study(args, parser):
+def _cmd_study(args):
     os.makedirs(args.output_dir, exist_ok=True)
     if args.study == "table1":
         return _cmd_table1(args)
     cfg = _study_config(args)
-    if args.study == "interp-convergence":
-        cfg.sweep = tuple(args.sweep) if args.sweep else DEFAULT_INTERP_SWEEP
-        result = run_interp_convergence(cfg)
-    elif args.study == "quad-sweep":
-        cfg.sweep = tuple(args.sweep) if args.sweep else tuple(range(1, 11))
-        cfg.reconstruction = args.interp
-        result = run_quadrature_sweep(cfg)
-    elif args.study == "href":
-        cfg.sweep = tuple(args.sweep) if args.sweep else DEFAULT_HREF_SWEEP
-        result = run_href_study(cfg)
-        if args.surrogate:
-            result.name = f"href-{args.surrogate}"
-    else:
-        cfg.sweep = tuple(args.sweep) if args.sweep else DEFAULT_SCALING_SWEEP
-        if args.interp:
-            cfg.reconstruction = args.interp
-        result = run_weak_scaling(cfg)
+    result = STUDIES[args.study].run(cfg)
+    if args.study == "href" and cfg.surrogate:
+        # table1 tells the href results apart by file name
+        result.name = f"href-{cfg.surrogate}"
     base = os.path.join(args.output_dir, result.name)
     result.write_csv(base + ".csv")
     result.write_dat(base + ".dat")
@@ -245,15 +254,10 @@ def _cmd_genmesh(args):
 
 
 def _cmd_genfield(args):
-    x0, y0, x1, y1 = args.grid_rect
-    grid = StructuredGrid(np.linspace(x0, x1, args.grid_points[0]),
-                          np.linspace(y0, y1, args.grid_points[1]))
-    if args.surrogate:
-        func = surrogate_field(args.surrogate)
-    else:
-        func = sine_product(_parse_k(args.analytic))
-    write_fdf(args.output, sample_field(grid, func))
-    print(f"wrote {args.output} ({grid.nx}x{grid.ny} samples)")
+    field = field_source(args.analytic, args.surrogate,
+                         rect=args.grid_rect).sample(args.grid_points)
+    write_fdf(args.output, field)
+    print(f"wrote {args.output} ({field.grid.nx}x{field.grid.ny} samples)")
     return 0
 
 
@@ -264,7 +268,7 @@ def main(argv=None) -> int:
         if args.command == "transfer":
             return _cmd_transfer(args, parser)
         if args.command == "study":
-            return _cmd_study(args, parser)
+            return _cmd_study(args)
         if args.command == "genmesh":
             return _cmd_genmesh(args)
         return _cmd_genfield(args)

@@ -74,12 +74,11 @@ class QuadMesh:
     def element_areas(self) -> np.ndarray:
         """Areas by 2x2 Gauss integration of det J (exact for bilinear maps)."""
         rule = tensor_product_rule(2)
-        _, det = jacobian_all(self, rule.points)
-        return det @ rule.weights
+        return jacobian_all(self, rule.points) @ rule.weights
 
     def _check_orientation(self):
         corners = np.column_stack([_XI_SIGNS, _ETA_SIGNS])
-        _, det = jacobian_all(self, corners)
+        det = jacobian_all(self, corners)
         if det.size and det.min() <= 0.0:
             e = int(np.argmax(det.min(axis=1) <= 0.0))
             raise ValueError(
@@ -139,36 +138,15 @@ def forward_map(mesh: QuadMesh, e: int | None, ref_points) -> np.ndarray:
     return N @ mesh.element_coords(e)
 
 
-def jacobian(mesh: QuadMesh, e: int, ref_points):
-    """Jacobian matrices and determinants at reference points.
-
-    Returns (J, det) with J of shape (..., 2, 2):
-    J = [[dx/dxi, dx/deta], [dy/dxi, dy/deta]].
-    """
-    coords = mesh.element_coords(e)
-    _, dxi, deta = shape_functions(ref_points)
-    J = np.stack([np.stack([dxi @ coords[:, 0], deta @ coords[:, 0]], axis=-1),
-                  np.stack([dxi @ coords[:, 1], deta @ coords[:, 1]], axis=-1)],
-                 axis=-2)
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    return J, det
-
-
-def jacobian_all(mesh: QuadMesh, ref_points):
-    """det J for every element at shared reference points.
-
-    Returns (J, det) with det of shape (Ne, nq).
-    """
+def jacobian_all(mesh: QuadMesh, ref_points) -> np.ndarray:
+    """det J of every element at shared reference points, shape (Ne, nq)."""
     coords = mesh.nodes[mesh.elements]          # (Ne, 4, 2)
     _, dxi, deta = shape_functions(ref_points)  # (nq, 4)
     j11 = dxi @ coords[:, :, 0].T               # (nq, Ne)
     j12 = deta @ coords[:, :, 0].T
     j21 = dxi @ coords[:, :, 1].T
     j22 = deta @ coords[:, :, 1].T
-    det = (j11 * j22 - j12 * j21).T
-    J = np.stack([np.stack([j11.T, j12.T], axis=-1),
-                  np.stack([j21.T, j22.T], axis=-1)], axis=-2)
-    return J, det
+    return (j11 * j22 - j12 * j21).T
 
 
 def inverse_map(mesh: QuadMesh, e: int, points, tol: float = NEWTON_TOL,

@@ -53,10 +53,6 @@ class StructuredGrid:
         x0, y0, x1, y1 = self.bounds
         return float(np.hypot(x1 - x0, y1 - y0))
 
-    def cell_bounds(self, i: int, j: int):
-        """(xlo, xhi, ylo, yhi) of cell (i, j)."""
-        return (self.xs[i], self.xs[i + 1], self.ys[j], self.ys[j + 1])
-
     def candidate_cells(self, bbox):
         """Inclusive cell-index ranges overlapping axis-aligned boxes.
 

@@ -4,9 +4,12 @@ Each study sweeps one variable, runs the selected transfer methods against
 an explicitly named reference (analytic integral or the trapezoidal rule on
 the source grid), and records rows of
 ``(sweep value, method, relative error, wall seconds, total integral)``.
-Timings are medians of warm repetitions on a monotonic clock; setup and
-execution phases are reported as separate rows where the distinction
-matters.
+:func:`field_source` decides which field each study (and the CLI) uses.
+
+Timing rule: every timed step goes through :func:`_median_time`, the median
+of ``repetitions`` calls on a monotonic clock after one untimed warm-up
+call. Only the supermesh setup is timed once per sweep value; it gets its
+own ``supermesh/setup`` rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .assemble import assemble_quadrature, assemble_quadrature_analytic
 from .fem import forward_map, rect_mesh, tensor_product_rule
-from .grid import StructuredGrid, read_fdf, sample_field, trapezoid_integral
+from .grid import ScalarField, StructuredGrid, read_fdf, sample_field, trapezoid_integral
 from .interp import bspline_interpolator, make_interpolator
 from .supermesh import assemble_supermesh, build_supermesh
 
@@ -31,16 +34,16 @@ ERROR_FLOOR = 1e-12
 
 
 def sine_product(k: float):
-    """f(x, y) = sin(k x) sin(k y); closed-form integral on [0, L]^2."""
-
-    def f(x, y):
-        return np.sin(k * x) * np.sin(k * y)
-
-    return f
+    """f(x, y) = sin(k x) sin(k y); see :func:`sine_product_integral`."""
+    return lambda x, y: np.sin(k * x) * np.sin(k * y)
 
 
-def sine_product_integral(k: float, length: float = 1.0) -> float:
-    return ((1.0 - math.cos(k * length)) / k) ** 2
+def sine_product_integral(k: float, rect=UNIT_DOMAIN) -> float:
+    """Closed-form integral of sin(k x) sin(k y) over rect (x0, y0, x1, y1)."""
+    x0, y0, x1, y1 = rect
+    wx = (math.cos(k * x0) - math.cos(k * x1)) / k
+    wy = (math.cos(k * y0) - math.cos(k * y1)) / k
+    return wx * wy
 
 
 def surrogate_field(name: str):
@@ -60,10 +63,52 @@ def surrogate_field(name: str):
 
 
 @dataclass
-class StudyConfig:
-    """Knobs shared by the studies; each study reads the fields it needs."""
+class FieldSource:
+    """``func`` f(x, y) or the samples ``field`` of a file, on ``rect``
+    (x0, y0, x1, y1); ``exact`` is the closed-form integral, if known."""
 
-    domain: tuple = UNIT_DOMAIN
+    name: str
+    rect: tuple
+    func: object = None
+    field: ScalarField | None = None
+    exact: float | None = None
+
+    def sample(self, grid_points) -> ScalarField:
+        """The file's own samples, or func on an (nx, ny) grid over rect."""
+        if self.field is not None:
+            return self.field
+        x0, y0, x1, y1 = self.rect
+        grid = StructuredGrid(np.linspace(x0, x1, grid_points[0]),
+                              np.linspace(y0, y1, grid_points[1]))
+        return sample_field(grid, self.func)
+
+
+def field_source(analytic_k, surrogate=None, field_path=None, rect=None) -> FieldSource:
+    """Which field, on which rectangle, checked against which reference.
+
+    An FDF file wins over a surrogate, which wins over sin(k x) sin(k y).
+    A file fixes its own rectangle; otherwise ``rect`` defaults to the
+    comparative domain for a surrogate and the unit square for the sine.
+    Only the sine has a closed-form integral; the studies check the other
+    sources against the trapezoidal rule on their samples.
+    """
+    if field_path is not None:
+        fld = read_fdf(field_path)
+        return FieldSource(str(field_path), fld.grid.bounds, field=fld)
+    if surrogate is not None:
+        return FieldSource(surrogate, rect or COMPARATIVE_DOMAIN,
+                           func=surrogate_field(surrogate))
+    rect = rect or UNIT_DOMAIN
+    return FieldSource("analytic", rect, func=sine_product(analytic_k),
+                       exact=sine_product_integral(analytic_k, rect))
+
+
+@dataclass
+class StudyConfig:
+    """Knobs shared by the studies; each study reads the fields it needs.
+    ``domain`` None means the source's own rectangle (:func:`field_source`)."""
+
+    domain: tuple | None = None
     analytic_k: float = 2.5 * math.pi
     surrogate: str | None = None
     field_path: str | None = None
@@ -195,12 +240,13 @@ def run_interp_convergence(cfg: StudyConfig) -> StudyResult:
     sweep values are the grid spacings h; one method row per order.
     """
     cfg.validate_sweep()
-    x0, y0, x1, y1 = cfg.domain
-    f = sine_product(cfg.analytic_k)
+    cfg.validate_timing()
+    src = field_source(cfg.analytic_k, rect=cfg.domain)
+    x0, y0, x1, y1 = src.rect
     mesh = rect_mesh(x0, y0, x1, y1, *cfg.mesh_elems)
     rule = tensor_product_rule(cfg.n_gauss)
     pts = forward_map(mesh, None, rule.points).reshape(-1, 2)
-    f_exact = f(pts[:, 0], pts[:, 1])
+    f_exact = src.func(pts[:, 0], pts[:, 1])
     norm = float(np.linalg.norm(f_exact))
     result = StudyResult(
         "interp-convergence",
@@ -208,15 +254,12 @@ def run_interp_convergence(cfg: StudyConfig) -> StudyResult:
               "n_gauss": cfg.n_gauss})
     for h in cfg.sweep:
         n = int(round((x1 - x0) / h)) + 1
-        grid = StructuredGrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n))
-        fld = sample_field(grid, f)
+        fld = src.sample((n, n))
         for p in cfg.orders:
-            if grid.nx < p + 1:
+            if fld.grid.nx < p + 1:
                 raise ValueError(f"grid too coarse for order {p}")
-            t0 = time.perf_counter()
-            interp = bspline_interpolator(fld, p)
-            vals = interp.evaluate(pts)
-            dt = time.perf_counter() - t0
+            dt, vals = _median_time(lambda: bspline_interpolator(fld, p).evaluate(pts),
+                                    cfg.repetitions)
             err = float(np.linalg.norm(vals - f_exact)) / norm
             result.add(h, f"bspline:{p}", err, dt)
     return result
@@ -225,32 +268,21 @@ def run_interp_convergence(cfg: StudyConfig) -> StudyResult:
 def run_quadrature_sweep(cfg: StudyConfig) -> StudyResult:
     """Total-integral error vs Gauss order, with and without reconstruction.
 
-    Analytic mode (no field_path/surrogate and no reconstruction requested)
+    Analytic mode (no field_path and no reconstruction requested)
     integrates f directly; interpolated mode samples f on ``grid_points``
     first and reconstructs with ``cfg.reconstruction``. The reference is the
-    closed-form integral in analytic mode, the trapezoidal rule otherwise.
+    closed-form integral for the sine, the trapezoidal rule for a file.
     """
     cfg.validate_sweep()
     cfg.validate_timing()
     interpolated = cfg.reconstruction is not None or cfg.field_path is not None
-    if cfg.field_path is not None:
-        # data mode: field from file, reference is the trapezoidal rule
-        fld = read_fdf(cfg.field_path)
-        x0, y0, x1, y1 = (fld.grid.xs[0], fld.grid.ys[0],
-                          fld.grid.xs[-1], fld.grid.ys[-1])
-        i_ref = trapezoid_integral(fld)
-    else:
-        x0, y0, x1, y1 = cfg.domain
-        f = sine_product(cfg.analytic_k)
-        i_ref = sine_product_integral(cfg.analytic_k, x1 - x0)
-        if interpolated:
-            grid = StructuredGrid(np.linspace(x0, x1, cfg.grid_points[0]),
-                                  np.linspace(y0, y1, cfg.grid_points[1]))
-            fld = sample_field(grid, f)
-    mesh = rect_mesh(x0, y0, x1, y1, *cfg.mesh_elems)
-    if interpolated:
-        interp = make_interpolator(fld, cfg.reconstruction or "lagrange:3")
+    src = field_source(cfg.analytic_k, field_path=cfg.field_path, rect=cfg.domain)
+    mesh = rect_mesh(*src.rect, *cfg.mesh_elems)
     mode = (cfg.reconstruction or "lagrange:3") if interpolated else "analytic"
+    if interpolated:
+        fld = src.sample(cfg.grid_points)
+        interp = make_interpolator(fld, mode)
+    i_ref = src.exact if src.exact is not None else trapezoid_integral(fld)
     result = StudyResult(
         "quad-sweep",
         meta={"k": cfg.analytic_k, "mode": mode, "reference": i_ref})
@@ -259,7 +291,7 @@ def run_quadrature_sweep(cfg: StudyConfig) -> StudyResult:
         if interpolated:
             run = lambda: assemble_quadrature(mesh, interp, ng)
         else:
-            run = lambda: assemble_quadrature_analytic(mesh, f, ng)
+            run = lambda: assemble_quadrature_analytic(mesh, src.func, ng)
         dt, b = _median_time(run, cfg.repetitions)
         total = float(b.sum())
         result.add(ng, f"quad/{mode}", abs(total - i_ref) / abs(i_ref), dt, total)
@@ -281,26 +313,17 @@ def run_href_study(cfg: StudyConfig) -> StudyResult:
     """
     cfg.validate_sweep()
     cfg.validate_timing()
-    if cfg.field_path is not None:
-        fld = read_fdf(cfg.field_path)
-        grid = fld.grid
-        x0, y0, x1, y1 = grid.xs[0], grid.ys[0], grid.xs[-1], grid.ys[-1]
-        field_name = cfg.field_path
-    else:
-        x0, y0, x1, y1 = cfg.domain
-        f = surrogate_field(cfg.surrogate) if cfg.surrogate else sine_product(cfg.analytic_k)
-        grid = StructuredGrid(np.linspace(x0, x1, cfg.grid_points[0]),
-                              np.linspace(y0, y1, cfg.grid_points[1]))
-        fld = sample_field(grid, f)
-        field_name = cfg.surrogate or "analytic"
+    src = field_source(cfg.analytic_k, cfg.surrogate, cfg.field_path, cfg.domain)
+    fld = src.sample(cfg.grid_points)
+    grid = fld.grid
     i_ref = trapezoid_integral(fld)
     result = StudyResult(
         "href",
-        meta={"grid": (grid.nx, grid.ny), "field": field_name,
+        meta={"grid": (grid.nx, grid.ny), "field": src.name,
               "reference": i_ref})
     for n in cfg.sweep:
         n = int(n)
-        mesh = rect_mesh(x0, y0, x1, y1, n, n)
+        mesh = rect_mesh(*src.rect, n, n)
         t0 = time.perf_counter()
         cache = build_supermesh(mesh, grid)
         setup_t = time.perf_counter() - t0
@@ -328,23 +351,21 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
     """
     cfg.validate_sweep()
     cfg.validate_timing()
-    x0, y0, x1, y1 = cfg.domain
-    f = surrogate_field(cfg.surrogate) if cfg.surrogate else sine_product(cfg.analytic_k)
+    src = field_source(cfg.analytic_k, cfg.surrogate, rect=cfg.domain)
     result = StudyResult(
         "weak-scaling",
-        meta={"field": cfg.surrogate or "analytic",
+        meta={"field": src.name,
               "reconstruction": cfg.reconstruction,
               "n_gauss": cfg.n_gauss})
     for n in cfg.sweep:
         n = int(n)
         n_elems = n * n
         gp = max(n + n // 4, 2) + 1
-        grid = StructuredGrid(np.linspace(x0, x1, gp), np.linspace(y0, y1, gp))
-        fld = sample_field(grid, f)
+        fld = src.sample((gp, gp))
         i_ref = trapezoid_integral(fld)
-        mesh = rect_mesh(x0, y0, x1, y1, n, n)
+        mesh = rect_mesh(*src.rect, n, n)
         t0 = time.perf_counter()
-        cache = build_supermesh(mesh, grid)
+        cache = build_supermesh(mesh, fld.grid)
         setup_t = time.perf_counter() - t0
         dt, b = _median_time(lambda: assemble_supermesh(cache, fld, "bilinear"),
                              cfg.repetitions)

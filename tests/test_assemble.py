@@ -13,7 +13,7 @@ def midpoint_assembly(mesh, func):
     """Independent one-point (element midpoint) assembly oracle."""
     b = np.zeros(mesh.n_nodes)
     N, _, _ = shape_functions(np.array([[0.0, 0.0]]))
-    _, det = jacobian_all(mesh, np.array([[0.0, 0.0]]))
+    det = jacobian_all(mesh, np.array([[0.0, 0.0]]))
     for e, conn in enumerate(mesh.elements):
         x, y = (N[0] @ mesh.nodes[conn])
         contrib = 4.0 * func(x, y) * det[e, 0]
@@ -77,7 +77,7 @@ class TestAnalyticAssembly:
         from fieldxfer.fem import tensor_product_rule
         rule = tensor_product_rule(3)
         N, _, _ = shape_functions(rule.points)
-        _, det = jacobian_all(mesh, rule.points)
+        det = jacobian_all(mesh, rule.points)
         coords = mesh.nodes[mesh.elements]
         pts = np.einsum("qj,ejd->eqd", N, coords)
         plain = np.sum(rule.weights[None, :] * func(pts[..., 0], pts[..., 1]) * det)

@@ -1,12 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from fieldxfer import read_fdf, read_qm1, read_rhs
-from fieldxfer.cli import main
+from fieldxfer import harness, read_fdf, read_qm1, read_rhs
+from fieldxfer.cli import (COMMON_FLAGS, SOURCE_FLAGS, STUDIES, STUDY_FLAGS,
+                           _build_parser, _study_config, main)
+from fieldxfer.harness import StudyResult
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def usage_error(*argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    return exc.value.code == 2
 
 
 class TestGenerators:
@@ -41,6 +51,11 @@ class TestGenerators:
                        "--grid-points", "131", "31", "--surrogate", "smooth",
                        "-o", str(path)) == 0
         assert read_fdf(path).values.shape == (31, 131)
+
+    def test_genfield_two_sources_is_usage_error(self, tmp_path):
+        assert usage_error("genfield", "--grid-rect", "0", "0", "1", "1",
+                           "--grid-points", "11", "11", "--analytic", "2pi",
+                           "--surrogate", "smooth", "-o", str(tmp_path / "s.fdf"))
 
 
 class TestTransfer:
@@ -96,6 +111,24 @@ class TestTransfer:
                     "-o", str(tmp_path / "x.rhs"))
         assert exc.value.code == 2
 
+    @pytest.mark.filterwarnings("ignore:.*outside the grid domain")
+    @pytest.mark.parametrize("method, extra, fraction", [
+        ("supermesh", ["--grid-points", "11", "11", "--mesh-rect", "5", "5", "6", "6",
+                       "--mesh-elems", "2", "2"], "0"),
+        ("quad", ["--grid-points", "41", "41", "--mesh-rect", "0", "0", "0.5", "0.5",
+                  "--mesh-elems", "4", "4"], "0.25")])
+    def test_partial_cover_has_no_conservation_error(self, tmp_path, capsys,
+                                                     method, extra, fraction):
+        # the trapezoid reference integrates the whole grid, so it cannot
+        # check a mesh that covers only part of it
+        assert run_cli("transfer", "--method", method, "--analytic", "2pi",
+                       "--grid-rect", "0", "0", "1", "1", *extra,
+                       "-o", str(tmp_path / "x.rhs")) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("conservation_rel_err")][0]
+        assert line == (f"conservation_rel_err n/a (the mesh covers {fraction} "
+                        f"of the grid area)")
+
     def test_domain_failure_exit_1(self, tmp_path, capsys):
         # grid covers only half the mesh: quadrature points fall outside
         f = tmp_path / "f.fdf"
@@ -150,3 +183,109 @@ class TestStudies:
                        "--output-dir", str(out)) == 0
         text = (out / "interp-convergence.csv").read_text()
         assert "bspline:5" in text
+
+    def test_quad_sweep_on_shifted_domain(self, tmp_path):
+        # integral of sin(pi x) sin(pi y) over [0.25, 1.25]^2 is 2/pi^2
+        out = tmp_path / "o"
+        assert run_cli("study", "quad-sweep", "--analytic", "1pi",
+                       "--domain", "0.25", "1.25", "0.25", "1.25", "--sweep", "8",
+                       "--repetitions", "3", "--output-dir", str(out)) == 0
+        row = StudyResult.read_csv(out / "quad-sweep.csv").rows[0]
+        assert row.integral == pytest.approx(2.0 / np.pi ** 2, rel=1e-10)
+        assert row.error < 1e-10
+
+
+MEDIAN_TIME = harness._median_time
+# (base sweep, other sweep) of a small, fast run of each study
+SWEEPS = {"interp-convergence": ("0.1", "0.125"), "quad-sweep": ("2", "3"),
+          "href": ("2", "3"), "weak-scaling": ("4", "5")}
+BASE_ARGS = {
+    "interp-convergence": ["--mesh-elems", "4", "4"],
+    "quad-sweep": ["--interp", "bilinear", "--mesh-elems", "4", "4",
+                   "--grid-points", "11", "11"],
+    "href": ["--grid-points", "11", "11"],
+    "weak-scaling": [],
+}
+FLAG_VALUES = {
+    "--domain": ["0.25", "1.25", "0.5", "1.75"],
+    "--analytic": ["1pi"],
+    "--surrogate": ["smooth"],
+    "--mesh-elems": ["6", "6"],
+    "--grid-points": ["13", "13"],
+    "--interp": ["bspline:3"],
+    "--repetitions": ["4"],
+}
+# the flags the study runners never read
+REMOVED = {
+    "interp-convergence": {"--surrogate", "--field", "--grid-points", "--interp"},
+    "quad-sweep": {"--surrogate"},
+    "href": {"--mesh-elems", "--interp"},
+    "weak-scaling": {"--field", "--mesh-elems", "--grid-points"},
+}
+
+
+class TestStudyFlags:
+    """Every flag a study accepts reaches its runner; the others are rejected."""
+
+    @pytest.fixture
+    def field_file(self, tmp_path):
+        path = tmp_path / "f.fdf"
+        assert run_cli("genfield", "--grid-rect", "0", "0", "1", "1",
+                       "--grid-points", "11", "11", "--analytic", "3pi",
+                       "-o", str(path)) == 0
+        return str(path)
+
+    def flag_args(self, name, flag, field_file):
+        if flag == "--sweep":
+            return [flag, SWEEPS[name][1]]
+        return [flag, field_file] if flag == "--field" else [flag, *FLAG_VALUES[flag]]
+
+    def observe(self, monkeypatch, out, name, argv):
+        """Rows without times, and the repetitions each timed step got."""
+        reps = []
+
+        def record(fn, repetitions):
+            reps.append(repetitions)
+            return MEDIAN_TIME(fn, repetitions)
+
+        monkeypatch.setattr(harness, "_median_time", record)
+        assert run_cli("study", name, "--sweep", SWEEPS[name][0],
+                       "--repetitions", "3", *BASE_ARGS[name], *argv,
+                       "--output-dir", str(out)) == 0
+        (csv,) = out.glob("*.csv")
+        rows = [(r.sweep, r.method, r.error, r.integral)
+                for r in StudyResult.read_csv(csv).rows]
+        return rows, reps
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, study in STUDIES.items()
+        for flag in study.flags + COMMON_FLAGS])
+    def test_accepted_flag_changes_the_run(self, tmp_path, monkeypatch, field_file,
+                                           name, flag):
+        base = self.observe(monkeypatch, tmp_path / "base", name, [])
+        changed = self.observe(monkeypatch, tmp_path / "flag", name,
+                               self.flag_args(name, flag, field_file))
+        assert changed != base
+
+    def test_removed_flags_are_the_unread_ones(self):
+        for name, study in STUDIES.items():
+            assert set(STUDY_FLAGS) - set(study.flags) - set(COMMON_FLAGS) == REMOVED[name]
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, flags in REMOVED.items() for flag in sorted(flags)])
+    def test_removed_flag_is_usage_error(self, tmp_path, field_file, name, flag):
+        assert usage_error("study", name, *self.flag_args(name, flag, field_file),
+                           "--output-dir", str(tmp_path))
+
+    @pytest.mark.parametrize("name, pair", [
+        (name, pair) for name, study in STUDIES.items()
+        for pair in itertools.combinations(
+            [f for f in study.flags if f in SOURCE_FLAGS], 2)])
+    def test_two_sources_is_usage_error(self, tmp_path, field_file, name, pair):
+        argv = [a for flag in pair for a in self.flag_args(name, flag, field_file)]
+        assert usage_error("study", name, *argv, "--output-dir", str(tmp_path))
+
+    def test_domain_order_is_x0_x1_y0_y1(self):
+        args = _build_parser().parse_args(
+            ["study", "href", "--domain", "0", "2", "-1", "1"])
+        assert _study_config(args).domain == (0.0, -1.0, 2.0, 1.0)

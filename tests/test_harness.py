@@ -213,3 +213,15 @@ class TestTable1:
 def test_sine_product_integral_value():
     assert sine_product_integral(4.5 * math.pi) == pytest.approx(
         1.0 / (20.25 * math.pi ** 2), rel=1e-15)
+
+
+def test_sine_product_integral_any_rectangle():
+    # product of 1-D Gauss-Legendre integrals, exact to rounding at 40 points
+    k, rect = 4.5 * math.pi, (0.25, -0.5, 1.25, 0.75)
+    x, w = np.polynomial.legendre.leggauss(40)
+
+    def axis_integral(lo, hi):
+        return 0.5 * (hi - lo) * np.sum(w * np.sin(k * (lo + 0.5 * (hi - lo) * (x + 1))))
+
+    want = axis_integral(rect[0], rect[2]) * axis_integral(rect[1], rect[3])
+    assert sine_product_integral(k, rect) == pytest.approx(want, rel=1e-12)

@@ -197,8 +197,8 @@ class TestClipToCell:
                for k, (i, j) in enumerate(poly_cell)}
         for j in range(grid.ny - 1):
             for i in range(grid.nx - 1):
-                assert_matches_oracle(got.get((i, j), np.zeros((0, 2))), quad,
-                                      grid.cell_bounds(i, j))
+                box = (grid.xs[i], grid.xs[i + 1], grid.ys[j], grid.ys[j + 1])
+                assert_matches_oracle(got.get((i, j), np.zeros((0, 2))), quad, box)
 
 
 class TestFanGauss:
