@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from ._textio import read_blocks, write_blocks
+from .errors import DomainError
 from .fem import (QuadMesh, accumulate, forward_map, jacobian_all, shape_functions,
                   tensor_product_rule)
 from .interp import Interpolator
@@ -46,30 +47,12 @@ def _assemble(mesh, evaluate, n_gauss):
     return accumulate(mesh.elements, contrib @ N, mesh.n_nodes)
 
 
-# --- RHS text format --------------------------------------------------------
-#
-# line 1: "RHS 1"
-# line 2: n_nodes
-# then one value per line
+# --- RHS text format: one value per row
 
 
 def write_rhs(path, b) -> None:
-    b = np.asarray(b, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("RHS 1\n")
-        fh.write(f"{b.size}\n")
-        for v in b:
-            fh.write(f"{v:.17g}\n")
+    write_blocks(path, "RHS 1", (np.size(b),), (np.asarray(b, dtype=float).reshape(-1, 1),))
 
 
 def read_rhs(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:2] != ["RHS", "1"]:
-            raise FormatError(f"{path}: expected 'RHS 1' header, got {header!r}")
-        try:
-            n = int(fh.readline())
-            vals = np.array([float(fh.readline()) for _ in range(n)])
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed RHS content ({exc})") from exc
-    return vals
+    return read_blocks(path, "RHS 1", lambda n_nodes: ((n_nodes, 1, float),))[0][:, 0]

@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 
 from .assemble import assemble_quadrature, write_rhs
-from .errors import ConvergenceError, FieldTransferError, FormatError, SingularMapError
+from .errors import ConvergenceError, FieldTransferError, SingularMapError
 from .fem import read_qm1, rect_mesh, write_qm1
 from .grid import read_fdf, trapezoid_integral, write_fdf
 from .harness import (StudyConfig, StudyResult, emit_table1, field_source,
@@ -107,8 +107,8 @@ def _build_parser():
                       help="elements per axis for --mesh-rect")
     p_tr.add_argument("--interp", default="bilinear",
                       help="reconstruction: bilinear | bspline:P | lagrange:P")
-    p_tr.add_argument("--gauss", type=int, default=3,
-                      help="Gauss points per axis for --method quad")
+    p_tr.add_argument("--gauss", type=int,
+                      help="Gauss points per axis for --method quad (default 3)")
     p_tr.add_argument("--dump-supermesh", metavar="PATH",
                       help="write the intersection polygons as a text "
                            "polygon soup (supermesh method only)")
@@ -152,15 +152,25 @@ def _build_parser():
 
 
 def _load_transfer_inputs(args, parser):
-    if args.mesh is None and args.mesh_elems is None:
-        parser.error("--mesh-rect needs --mesh-elems")
-    mesh = read_qm1(args.mesh) if args.mesh else rect_mesh(*args.mesh_rect, *args.mesh_elems)
-    if args.field is not None:
+    field, mesh = args.field is not None, args.mesh is not None
+    quad = args.method == "quad"
+    for misuse, message in (
+            (field and args.grid_points is not None, "--grid-points is not read with --field"),
+            (field and args.grid_rect is not None, "--grid-rect is not read with --field"),
+            (not field and args.grid_points is None, "--analytic needs --grid-points"),
+            (mesh and args.mesh_elems is not None, "--mesh-elems is not read with --mesh"),
+            (not mesh and args.mesh_elems is None, "--mesh-rect needs --mesh-elems"),
+            (not quad and args.gauss is not None,
+             "--gauss is not read with --method supermesh"),
+            (quad and args.dump_supermesh is not None,
+             "--dump-supermesh is not read with --method quad")):
+        if misuse:
+            parser.error(message)
+    mesh = read_qm1(args.mesh) if mesh else rect_mesh(*args.mesh_rect, *args.mesh_elems)
+    if field:
         # read here, not in field_source, so that the benchmark tracer, which
         # patches this module's read_fdf, sees the file read
         return mesh, read_fdf(args.field)
-    if args.grid_points is None:
-        parser.error("--analytic needs --grid-points")
     rect = args.grid_rect or (*mesh.nodes.min(axis=0), *mesh.nodes.max(axis=0))
     return mesh, field_source(args.analytic, rect=rect).sample(args.grid_points)
 
@@ -175,7 +185,7 @@ def _cmd_transfer(args, parser):
         covered = cache.covered_areas().sum()
     else:
         interp = make_interpolator(field, args.interp)
-        b = assemble_quadrature(mesh, interp, args.gauss)
+        b = assemble_quadrature(mesh, interp, 3 if args.gauss is None else args.gauss)
         covered = mesh.element_areas().sum()
     write_rhs(args.output, b)
     total = float(b.sum())
@@ -206,10 +216,13 @@ def _study_config(args) -> StudyConfig:
     return StudyConfig(**{**STUDIES[args.study].defaults, **given})
 
 
-def _cmd_study(args):
+def _cmd_study(args, parser):
     os.makedirs(args.output_dir, exist_ok=True)
     if args.study == "table1":
         return _cmd_table1(args)
+    for flag, dest in (("--domain", "domain"), ("--grid-points", "grid_points")):
+        if dest in args and "field_path" in args:  # a file fixes its own grid
+            parser.error(f"{flag} is not read with --field")
     cfg = _study_config(args)
     result = STUDIES[args.study].run(cfg)
     if args.study == "href" and cfg.surrogate:
@@ -268,17 +281,14 @@ def main(argv=None) -> int:
         if args.command == "transfer":
             return _cmd_transfer(args, parser)
         if args.command == "study":
-            return _cmd_study(args)
+            return _cmd_study(args, parser)
         if args.command == "genmesh":
             return _cmd_genmesh(args)
         return _cmd_genfield(args)
     except (ConvergenceError, SingularMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldTransferError, ValueError) as exc:
+    except (FieldTransferError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

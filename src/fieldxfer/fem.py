@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._textio import read_blocks, write_blocks
 from .errors import ConvergenceError, FormatError, SingularMapError
 
 # reference-corner signs of the four Q4 nodes
@@ -327,37 +328,16 @@ def triangle_rule() -> QuadratureRule:
     return QuadratureRule(np.array(points), np.array(weights))
 
 
-# --- QM1 text format --------------------------------------------------------
-#
-# line 1: "QM 1"
-# line 2: "n_nodes n_elems"
-# n_nodes lines "x y"
-# n_elems lines "i0 i1 i2 i3" (0-based, CCW)
+# --- QM1 text format: node rows "x y", then element rows "i0 i1 i2 i3" (0-based, CCW)
 
 
 def write_qm1(path, mesh: QuadMesh) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("QM 1\n")
-        fh.write(f"{mesh.n_nodes} {mesh.n_elements}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for el in mesh.elements:
-            fh.write(" ".join(str(i) for i in el) + "\n")
+    write_blocks(path, "QM 1", (mesh.n_nodes, mesh.n_elements), (mesh.nodes, mesh.elements))
 
 
 def read_qm1(path) -> QuadMesh:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:2] != ["QM", "1"]:
-            raise FormatError(f"{path}: expected 'QM 1' header, got {header!r}")
-        try:
-            n_nodes, n_elems = (int(tok) for tok in fh.readline().split())
-            nodes = np.array([[float(t) for t in fh.readline().split()]
-                              for _ in range(n_nodes)])
-            elements = np.array([[int(t) for t in fh.readline().split()]
-                                 for _ in range(n_elems)], dtype=np.int64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed QM1 content ({exc})") from exc
+    nodes, elements = read_blocks(path, "QM 1", lambda n_nodes, n_elems: (
+        (n_nodes, 2, float), (n_elems, 4, np.int64)))
     try:
         return QuadMesh(nodes, elements)
     except ValueError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._textio import read_blocks, write_blocks
 from .errors import FormatError
 
 
@@ -149,49 +150,20 @@ def trapezoid_integral(field: ScalarField) -> float:
     return float(np.sum(trapezoid_weights(field.grid) * field.values))
 
 
-# --- FDF text format ------------------------------------------------------
-#
-# line 1: "FDF 1"
-# line 2: "nx ny"
-# line 3: nx x-coordinates
-# line 4: ny y-coordinates
-# then ny lines of nx values (row j ascending)
+# --- FDF text format: the x row, the y row, then ny rows of nx values (j ascending)
 
 
 def write_fdf(path, field: ScalarField) -> None:
     """Write a field in FDF v1 text format (full double round-trip)."""
     g = field.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("FDF 1\n")
-        fh.write(f"{g.nx} {g.ny}\n")
-        fh.write(_fmt_row(g.xs) + "\n")
-        fh.write(_fmt_row(g.ys) + "\n")
-        for j in range(g.ny):
-            fh.write(_fmt_row(field.values[j]) + "\n")
+    write_blocks(path, "FDF 1", (g.nx, g.ny), (g.xs[None], g.ys[None], field.values))
 
 
 def read_fdf(path) -> ScalarField:
     """Read a field from FDF v1 text format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[:2] != ["FDF", "1"]:
-            raise FormatError(f"{path}: expected 'FDF 1' header, got {header!r}")
-        try:
-            nx, ny = (int(tok) for tok in fh.readline().split())
-            xs = _parse_row(fh.readline(), nx)
-            ys = _parse_row(fh.readline(), ny)
-            values = np.array([_parse_row(fh.readline(), nx) for _ in range(ny)])
-        except (ValueError, FormatError) as exc:
-            raise FormatError(f"{path}: malformed FDF content ({exc})") from exc
-    return ScalarField(StructuredGrid(xs, ys), values)
-
-
-def _fmt_row(row):
-    return " ".join(f"{v:.17g}" for v in row)
-
-
-def _parse_row(line, expected):
-    vals = [float(tok) for tok in line.split()]
-    if len(vals) != expected:
-        raise FormatError(f"expected {expected} values per row, got {len(vals)}")
-    return np.asarray(vals)
+    xs, ys, values = read_blocks(path, "FDF 1", lambda nx, ny: (
+        (1, nx, float), (1, ny, float), (ny, nx, float)))
+    try:
+        return ScalarField(StructuredGrid(xs[0], ys[0]), values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid field ({exc})") from exc

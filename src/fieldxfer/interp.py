@@ -8,7 +8,7 @@ Two interpolant families, both tensor products of 1-D rules:
   (p+1)-point-per-axis stencil; degree 1 is plain bilinear interpolation.
 
 Evaluation is batched: interpolators are immutable after construction and
-``evaluate`` is pure, so they can be shared across threads.
+``evaluate`` is pure, so one interpolator serves any number of point sets.
 """
 
 from __future__ import annotations

@@ -129,6 +129,63 @@ class TestTransfer:
         assert line == (f"conservation_rel_err n/a (the mesh covers {fraction} "
                         f"of the grid area)")
 
+    # flags the rest of the command line leaves unread
+    UNREAD = [
+        ("--grid-points", ["--field", "F", "--mesh", "M", "--grid-points", "11", "11"]),
+        ("--grid-rect", ["--field", "F", "--mesh", "M",
+                         "--grid-rect", "0", "0", "2", "2"]),
+        ("--mesh-elems", ["--field", "F", "--mesh", "M", "--mesh-elems", "3", "3"]),
+        ("--gauss", ["--method", "supermesh", "--field", "F", "--mesh", "M",
+                     "--gauss", "2"]),
+        ("--dump-supermesh", ["--method", "quad", "--field", "F", "--mesh", "M",
+                              "--dump-supermesh", "P"]),
+    ]
+
+    def transfer_argv(self, inputs, tmp_path, argv):
+        f, m = inputs
+        paths = {"F": str(f), "M": str(m), "P": str(tmp_path / "poly.txt")}
+        argv = [paths.get(a, a) for a in argv]
+        if "--method" not in argv:
+            argv = ["--method", "quad", *argv]
+        return ["transfer", *argv, "-o", str(tmp_path / "x.rhs")]
+
+    @pytest.mark.parametrize("flag, argv", UNREAD, ids=[f for f, _ in UNREAD])
+    def test_unread_flag_is_usage_error(self, inputs, tmp_path, capsys, flag, argv):
+        assert usage_error(*self.transfer_argv(inputs, tmp_path, argv))
+        assert f"{flag} is not read with" in capsys.readouterr().err
+        assert not (tmp_path / "x.rhs").exists()
+
+    @pytest.mark.parametrize("message, argv", [
+        ("--analytic needs --grid-points", ["--analytic", "2pi", "--mesh", "M"]),
+        ("--mesh-rect needs --mesh-elems",
+         ["--field", "F", "--mesh-rect", "0", "0", "1", "1"]),
+    ])
+    def test_missing_companion_is_usage_error(self, inputs, tmp_path, capsys,
+                                              message, argv):
+        assert usage_error(*self.transfer_argv(inputs, tmp_path, argv))
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--analytic", "2pi", "--grid-points", "11", "11",
+         "--grid-rect", "0", "0", "1", "1", "--mesh", "M"],
+        ["--field", "F", "--mesh-rect", "0", "0", "1", "1", "--mesh-elems", "3", "3"],
+        ["--field", "F", "--mesh", "M", "--gauss", "2"],
+        ["--method", "supermesh", "--field", "F", "--mesh", "M",
+         "--dump-supermesh", "P"],
+    ])
+    def test_read_flags_still_run(self, inputs, tmp_path, argv):
+        assert run_cli(*self.transfer_argv(inputs, tmp_path, argv)) == 0
+        assert (tmp_path / "x.rhs").exists()
+        assert ("--dump-supermesh" in argv) == (tmp_path / "poly.txt").exists()
+
+    def test_gauss_defaults_to_3_for_quad(self, inputs, tmp_path):
+        rhs = []
+        for extra in ([], ["--gauss", "3"]):
+            assert run_cli(*self.transfer_argv(
+                inputs, tmp_path, ["--field", "F", "--mesh", "M", *extra])) == 0
+            rhs.append(read_rhs(tmp_path / "x.rhs"))
+        assert np.array_equal(*rhs)
+
     def test_domain_failure_exit_1(self, tmp_path, capsys):
         # grid covers only half the mesh: quadrature points fall outside
         f = tmp_path / "f.fdf"
@@ -201,11 +258,12 @@ SWEEPS = {"interp-convergence": ("0.1", "0.125"), "quad-sweep": ("2", "3"),
           "href": ("2", "3"), "weak-scaling": ("4", "5")}
 BASE_ARGS = {
     "interp-convergence": ["--mesh-elems", "4", "4"],
-    "quad-sweep": ["--interp", "bilinear", "--mesh-elems", "4", "4",
-                   "--grid-points", "11", "11"],
-    "href": ["--grid-points", "11", "11"],
+    "quad-sweep": ["--interp", "bilinear", "--mesh-elems", "4", "4"],
+    "href": [],
     "weak-scaling": [],
 }
+# studies whose base run samples on an 11x11 grid; a field file brings its own
+SAMPLED = {"quad-sweep", "href"}
 FLAG_VALUES = {
     "--domain": ["0.25", "1.25", "0.5", "1.75"],
     "--analytic": ["1pi"],
@@ -249,8 +307,10 @@ class TestStudyFlags:
             return MEDIAN_TIME(fn, repetitions)
 
         monkeypatch.setattr(harness, "_median_time", record)
+        grid = (["--grid-points", "11", "11"]
+                if name in SAMPLED and "--field" not in argv else [])
         assert run_cli("study", name, "--sweep", SWEEPS[name][0],
-                       "--repetitions", "3", *BASE_ARGS[name], *argv,
+                       "--repetitions", "3", *BASE_ARGS[name], *grid, *argv,
                        "--output-dir", str(out)) == 0
         (csv,) = out.glob("*.csv")
         rows = [(r.sweep, r.method, r.error, r.integral)
@@ -284,6 +344,18 @@ class TestStudyFlags:
     def test_two_sources_is_usage_error(self, tmp_path, field_file, name, pair):
         argv = [a for flag in pair for a in self.flag_args(name, flag, field_file)]
         assert usage_error("study", name, *argv, "--output-dir", str(tmp_path))
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in sorted(SAMPLED) for flag in ("--domain", "--grid-points")])
+    def test_grid_flag_with_field_is_usage_error(self, tmp_path, capsys, field_file,
+                                                 name, flag):
+        argv = self.flag_args(name, flag, field_file)
+        assert usage_error("study", name, "--field", field_file, *argv,
+                           "--output-dir", str(tmp_path))
+        assert f"{flag} is not read with --field" in capsys.readouterr().err
+        # without the file the flag is read
+        assert run_cli("study", name, *argv, *BASE_ARGS[name], "--sweep", SWEEPS[name][0],
+                       "--repetitions", "3", "--output-dir", str(tmp_path)) == 0
 
     def test_domain_order_is_x0_x1_y0_y1(self):
         args = _build_parser().parse_args(
