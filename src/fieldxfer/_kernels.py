@@ -94,7 +94,12 @@ def clip_boxes(polys, boxes, dedup_tol):
     distinct = (np.abs(x - xp) > dedup_tol) | (np.abs(y - yp) > dedup_tol)
     x, y, n = _compact(distinct & _valid(x, n), [x, y])
 
-    area = 0.5 * _row_sum(_previous(x, n) * y - x * _previous(y, n))
+    # shoelace relative to the box corner, so the area does not depend on
+    # where the domain sits; padded entries stay zero
+    valid = _valid(x, n)
+    xr = np.where(valid, x - xlo[:, None], 0.0)
+    yr = np.where(valid, y - ylo[:, None], 0.0)
+    area = 0.5 * _row_sum(_previous(xr, n) * yr - xr * _previous(yr, n))
     drop = (n < 3) | (area < REL_AREA_TOL * ((xhi - xlo) * (yhi - ylo)))
     n[drop] = 0
     x[drop] = 0.0

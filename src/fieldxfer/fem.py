@@ -1,5 +1,5 @@
-"""Quadrilateral FEM mesh, bilinear Q4 isoparametric mapping, batched
-Newton inversion of the mapping, and quadrature rules.
+"""Quadrilateral FEM mesh, bilinear Q4 isoparametric mapping, its batched
+inversion (closed-form start, Newton polish), and quadrature rules.
 
 Reference element is the square [-1, 1]^2 with counter-clockwise corner
 ordering (-1,-1), (1,-1), (1,1), (-1,1).
@@ -19,6 +19,16 @@ _ETA_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
 _SINGULAR_DET = 1e-14
+# a closed-form start counts as inside the reference square up to this
+# much roundoff
+_START_MARGIN = 1e-8
+# points per pass of newton_inverse_batch, so that the temporaries of one
+# pass stay in cache
+_INVERSE_CHUNK = 8192
+
+# row k holds the corner weights of the monomial coefficient a_k of
+# X = a0 + a1 xi + a2 eta + a3 xi eta
+_MONOMIALS = 0.25 * np.array([np.ones(4), _XI_SIGNS, _ETA_SIGNS, _XI_SIGNS * _ETA_SIGNS])
 
 
 class QuadMesh:
@@ -119,13 +129,23 @@ def shape_functions(ref_points):
     ref_points: (..., 2) array of (xi, eta). Returns (N, dN_dxi, dN_deta),
     each of shape (..., 4). N_j = (1 + xi_j xi)(1 + eta_j eta)/4 with the
     corner signs of the reference square; sum_j N_j == 1 identically.
+    Every value is a product of the factors 1 +- xi and 1 +- eta.
     """
     ref_points = np.asarray(ref_points, dtype=float)
-    xi = ref_points[..., 0:1]
-    eta = ref_points[..., 1:2]
-    N = 0.25 * (1.0 + _XI_SIGNS * xi) * (1.0 + _ETA_SIGNS * eta)
-    dN_dxi = 0.25 * _XI_SIGNS * (1.0 + _ETA_SIGNS * eta)
-    dN_deta = 0.25 * _ETA_SIGNS * (1.0 + _XI_SIGNS * xi)
+    xi = ref_points[..., 0]
+    eta = ref_points[..., 1]
+    # the quarter goes with the xi factors; scaling by 0.25 is exact
+    xm = 0.25 * (1.0 - xi)
+    xp = 0.25 * (1.0 + xi)
+    em = 1.0 - eta
+    ep = 1.0 + eta
+    N = np.empty(xi.shape + (4,))
+    dN_dxi = np.empty_like(N)
+    dN_deta = np.empty_like(N)
+    for k, (x, e) in enumerate(((xm, em), (xp, em), (xp, ep), (xm, ep))):
+        np.multiply(x, e, out=N[..., k])
+        np.multiply(_XI_SIGNS[k] * 0.25, e, out=dN_dxi[..., k])
+        np.multiply(_ETA_SIGNS[k], x, out=dN_deta[..., k])
     return N, dN_dxi, dN_deta
 
 
@@ -150,87 +170,159 @@ def jacobian_all(mesh: QuadMesh, ref_points) -> np.ndarray:
     return (j11 * j22 - j12 * j21).T
 
 
+def map_coefficients(corner_x, corner_y):
+    """Monomial coefficients of the bilinear map X = a0 + a1 xi + a2 eta + a3 xi eta.
+
+    corner_x, corner_y: (..., 4) corner coordinates of one or more
+    elements. Returns (coef_x, coef_y), each of shape (4, ...) with the
+    monomial index first, so that coef_x[:, idx] gathers one element per
+    point as contiguous rows.
+    """
+    coef_x = np.asarray(corner_x, dtype=float) @ _MONOMIALS.T
+    coef_y = np.asarray(corner_y, dtype=float) @ _MONOMIALS.T
+    return np.moveaxis(coef_x, -1, 0), np.moveaxis(coef_y, -1, 0)
+
+
 def inverse_map(mesh: QuadMesh, e: int, points, tol: float = NEWTON_TOL,
                 max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
     """Reference coordinates of physical points inside element e.
 
-    Batched Newton iteration with the explicit 2x2 Jacobian inverse;
-    converged when the residual inf-norm drops below tol. Raises
-    :class:`ConvergenceError` (with point index and final residual) on
-    failure, :class:`SingularMapError` when |det J| underflows.
+    See :func:`newton_inverse_batch`: tol bounds the residual inf-norm in
+    units of the element half-size. Raises :class:`ConvergenceError`
+    (with point index and final residual) on failure,
+    :class:`SingularMapError` when det J is negligible against the
+    element size.
     """
     coords = mesh.element_coords(e)
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    xn = np.broadcast_to(coords[:, 0], (len(points), 4))
-    yn = np.broadcast_to(coords[:, 1], (len(points), 4))
-    return newton_inverse_batch(xn, yn, points, tol=tol, max_iter=max_iter)
+    coef_x, coef_y = map_coefficients(coords[:, 0], coords[:, 1])
+    return newton_inverse_batch(coef_x, coef_y, points, tol=tol, max_iter=max_iter)
 
 
-def newton_inverse_batch(corner_x, corner_y, points, tol: float = NEWTON_TOL,
+def newton_inverse_batch(coef_x, coef_y, points, tol: float = NEWTON_TOL,
                          max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
-    """Vectorized Newton inversion, one independent element per point.
+    """Vectorized inversion of the bilinear map, one independent element per point.
 
-    corner_x, corner_y: (n, 4) corner coordinates; points: (n, 2) targets.
-    All points iterate simultaneously from the element center (0, 0); every
-    update solves its own 2x2 system through the explicit determinant
-    formula. The bilinear map is evaluated in its monomial form
-    X = a0 + a1 xi + a2 eta + a3 xi eta (the four corner sums are folded
-    into per-point coefficients once), so each iteration runs on flat
-    arrays.
+    coef_x, coef_y: monomial coefficients from :func:`map_coefficients`,
+    (4, n) with one element per point or (4,) for one shared element;
+    points: (n, 2) targets. Every point starts from the closed-form root
+    of the map (:func:`_closed_form_root`). Where that start misses (its
+    residual is above tol, or it lies outside the reference square), the
+    point starts from the element center (0, 0) instead, so points
+    outside their element take the same path as without the closed
+    form. Newton iteration then runs on chunks of _INVERSE_CHUNK points,
+    the points of a chunk together, each update solving its own 2x2
+    system through the explicit determinant formula. An interior point
+    normally passes the residual check in the first iteration and gets
+    one polish step.
+
+    Both thresholds are in element units, so they do not depend on where
+    the mesh sits or on its scale. With the element half-size
+    h = max(|ax1|, |ax2|, |ay1|, |ay2|), a point has converged when its
+    residual inf-norm is below tol * h, and the map counts as singular
+    where |det J| <= _SINGULAR_DET * h^2. Residuals are reported in the
+    same units.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
-    if n == 0:
-        return np.zeros((0, 2))
-    corner_x = np.asarray(corner_x, dtype=float)
-    corner_y = np.asarray(corner_y, dtype=float)
-    mixed = _XI_SIGNS * _ETA_SIGNS
-    ax0 = 0.25 * (corner_x @ np.ones(4)) - points[:, 0]
-    ax1 = 0.25 * (corner_x @ _XI_SIGNS)
-    ax2 = 0.25 * (corner_x @ _ETA_SIGNS)
-    ax3 = 0.25 * (corner_x @ mixed)
-    ay0 = 0.25 * (corner_y @ np.ones(4)) - points[:, 1]
-    ay1 = 0.25 * (corner_y @ _XI_SIGNS)
-    ay2 = 0.25 * (corner_y @ _ETA_SIGNS)
-    ay3 = 0.25 * (corner_y @ mixed)
-    xi = np.zeros(n)
-    eta = np.zeros(n)
-    residual = np.empty(n)
+    coef_x = np.broadcast_to(np.asarray(coef_x, dtype=float).reshape(4, -1), (4, n))
+    coef_y = np.broadcast_to(np.asarray(coef_y, dtype=float).reshape(4, -1), (4, n))
+    ref = np.empty((n, 2))
+    for lo in range(0, n, _INVERSE_CHUNK):
+        hi = lo + _INVERSE_CHUNK
+        ref[lo:hi, 0], ref[lo:hi, 1] = _invert_chunk(
+            coef_x[:, lo:hi], coef_y[:, lo:hi], points[lo:hi], tol, max_iter, lo)
+    return ref
+
+
+def _invert_chunk(coef_x, coef_y, points, tol, max_iter, first):
+    """(xi, eta) of one chunk of :func:`newton_inverse_batch`; error
+    messages count points from ``first``."""
+    ax0, ax1, ax2, ax3 = coef_x
+    ay0, ay1, ay2, ay3 = coef_y
+    ax0 = ax0 - points[:, 0]
+    ay0 = ay0 - points[:, 1]
+    h = np.maximum(np.maximum(np.abs(ax1), np.abs(ax2)),
+                   np.maximum(np.abs(ay1), np.abs(ay2)))
+    inv_h = 1.0 / h
+    det_floor = _SINGULAR_DET * h * h
+    residual = np.empty(len(points))
 
     def _residual():
         cross = xi * eta
         fx = ax0 + ax1 * xi + ax2 * eta + ax3 * cross
         fy = ay0 + ay1 * xi + ay2 * eta + ay3 * cross
         np.maximum(np.abs(fx), np.abs(fy), out=residual)
+        np.multiply(residual, inv_h, out=residual)
         return fx, fy
 
-    for _ in range(max_iter):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi, eta = _closed_form_root(ax0, ax1, ax2, ax3, ay0, ay1, ay2, ay3)
         fx, fy = _residual()
+    # no real root, a root of the eliminated quadratic only (NaN counts),
+    # or a root outside the reference square, where a point outside the
+    # element may have a second root: these start from the center
+    miss = ~(residual < tol) | (np.maximum(np.abs(xi), np.abs(eta)) > 1.0 + _START_MARGIN)
+    if miss.any():
+        xi[miss] = 0.0
+        eta[miss] = 0.0
+        fx, fy = _residual()
+
+    # fx, fy and residual always belong to the current iterate
+    for _ in range(max_iter):
         done = residual.max() < tol
         j11 = ax1 + ax3 * eta
         j12 = ax2 + ax3 * xi
         j21 = ay1 + ay3 * eta
         j22 = ay2 + ay3 * xi
         det = j11 * j22 - j12 * j21
-        small = np.abs(det) < _SINGULAR_DET
+        small = np.abs(det) <= det_floor
         if np.any(small):
-            k = int(np.argmax(small))
+            k = first + int(np.argmax(small))
             raise SingularMapError(
-                f"singular mapping Jacobian at point {k} (|det J| < {_SINGULAR_DET:g})")
+                f"singular mapping Jacobian at point {k} "
+                f"(|det J| <= {_SINGULAR_DET:g} h^2, h the element half-size)")
         # the update doubles as a polish step once the residual gate is
         # passed, so returned coordinates are quadratically sharper than tol
         xi -= (j22 * fx - j12 * fy) / det
         eta -= (j11 * fy - j21 * fx) / det
         if done:
-            return np.column_stack([xi, eta])
-    _residual()
+            return xi, eta
+        fx, fy = _residual()
     if residual.max() < tol:
-        return np.column_stack([xi, eta])
+        return xi, eta
     k = int(np.argmax(residual))
     raise ConvergenceError(
-        f"inverse mapping did not converge for point {k} "
-        f"(residual {residual[k]:.3e} after {max_iter} iterations)",
-        point_index=k, residual=float(residual[k]))
+        f"inverse mapping did not converge for point {first + k} "
+        f"(residual {residual[k]:.3e} element units after {max_iter} iterations)",
+        point_index=first + k, residual=float(residual[k]))
+
+
+def _closed_form_root(ax0, ax1, ax2, ax3, ay0, ay1, ay2, ay3):
+    """Closed-form (xi, eta) with ax0 + ax1 xi + ax2 eta + ax3 xi eta = 0
+    and likewise for y (Hua 1990).
+
+    Eliminating xi leaves A eta^2 + B eta + C = 0. With
+    q = -(B + sign(B) sqrt(B^2 - 4AC))/2 its roots are C/q and q/A, which
+    needs no branch as A -> 0 (a parallelogram has A = 0 and the single
+    root C/q). The root nearest [-1, 1] is kept, and xi comes from
+    whichever of the x and y equations has the larger xi coefficient at
+    that eta. Without a real root the result is NaN; the caller checks the
+    residual, which also rejects a root of the quadratic that solves
+    neither equation.
+    """
+    a = ax2 * ay3 - ay2 * ax3
+    b = ax0 * ay3 - ay0 * ax3 + ax2 * ay1 - ay2 * ax1
+    c = ax0 * ay1 - ay0 * ax1
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    eta_c, eta_a = c / q, q / a
+    # distance to [-1, 1] orders like max(|eta|, 1); a NaN root never wins
+    far_c = np.maximum(np.abs(eta_c), 1.0)
+    eta = np.where((np.maximum(np.abs(eta_a), 1.0) < far_c) | np.isnan(far_c), eta_a, eta_c)
+    dx = ax1 + ax3 * eta
+    dy = ay1 + ay3 * eta
+    on_x = np.abs(dx) >= np.abs(dy)
+    xi = -np.where(on_x, ax0 + ax2 * eta, ay0 + ay2 * eta) / np.where(on_x, dx, dy)
+    return xi, eta
 
 
 # --- load vector ------------------------------------------------------------

@@ -5,7 +5,8 @@ Two interpolant families, both tensor products of 1-D rules:
 * B-splines of degree 1..5 on clamped knots, coefficients solved by two
   sweeps of banded collocation systems (x-direction, then y-direction).
 * Local Lagrange polynomials of degree 1 or 3 on a shifted
-  (p+1)-point-per-axis stencil; degree 1 is plain bilinear interpolation.
+  (p+1)-point-per-axis stencil; degree 1 is plain bilinear interpolation,
+  evaluated by the direct two-point formula.
 
 Evaluation is batched: interpolators are immutable after construction and
 ``evaluate`` is pure, so one interpolator serves any number of point sets.
@@ -50,6 +51,8 @@ class Interpolator:
         self._check_domain(points)
         if self.kind == "bspline":
             return _eval_bspline(self._state, self.degree, points)
+        if self.degree == 1:
+            return _eval_bilinear(self.grid, self._state, points)
         return _eval_lagrange(self.grid, self._state, self.degree, points)
 
     def _check_domain(self, points):
@@ -201,7 +204,7 @@ def lagrange_interpolator(field: ScalarField, degree: int) -> Interpolator:
 
     Evaluation picks the (degree+1)^2 stencil around each query point
     (shifted inward near the boundary) and interpolates first in x, then in
-    y. Degree 1 is identical to bilinear interpolation.
+    y. Degree 1 is bilinear interpolation, evaluated by the direct formula.
     """
     if degree not in LAGRANGE_DEGREES:
         raise ValueError(f"Lagrange degree must be in {LAGRANGE_DEGREES}, got {degree}")
@@ -232,6 +235,20 @@ def _lagrange_basis(nodes, x):
     return L
 
 
+def _eval_bilinear(grid, values, points):
+    """Degree-1 Lagrange by the direct formula:
+    f = (1-dx)(1-dy) f00 + dx (1-dy) f10 + (1-dx) dy f01 + dx dy f11 with
+    dx, dy the normalized offsets inside the containing cell.
+    """
+    x, y = points[:, 0], points[:, 1]
+    i = np.clip(np.searchsorted(grid.xs, x, side="right") - 1, 0, grid.nx - 2)
+    j = np.clip(np.searchsorted(grid.ys, y, side="right") - 1, 0, grid.ny - 2)
+    dx = (x - grid.xs[i]) / (grid.xs[i + 1] - grid.xs[i])
+    dy = (y - grid.ys[j]) / (grid.ys[j + 1] - grid.ys[j])
+    return ((1 - dx) * (1 - dy) * values[j, i] + dx * (1 - dy) * values[j, i + 1]
+            + (1 - dx) * dy * values[j + 1, i] + dx * dy * values[j + 1, i + 1])
+
+
 def _eval_lagrange(grid, values, degree, points):
     p = degree
     x = points[:, 0]
@@ -248,21 +265,3 @@ def _eval_lagrange(grid, values, degree, points):
     # interpolate along x for each stencil row, then along y
     rows = np.einsum("kjr,kr->kj", block, Lx)
     return np.einsum("kj,kj->k", rows, Ly)
-
-
-def bilinear_reference(field: ScalarField, points) -> np.ndarray:
-    """Direct two-point-per-axis bilinear formula, used as an oracle.
-
-    f = (1-dx)(1-dy) f00 + dx (1-dy) f10 + (1-dx) dy f01 + dx dy f11 with
-    dx, dy the normalized offsets inside the containing cell.
-    """
-    g = field.grid
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    x, y = points[:, 0], points[:, 1]
-    i = np.clip(np.searchsorted(g.xs, x, side="right") - 1, 0, g.nx - 2)
-    j = np.clip(np.searchsorted(g.ys, y, side="right") - 1, 0, g.ny - 2)
-    dx = (x - g.xs[i]) / (g.xs[i + 1] - g.xs[i])
-    dy = (y - g.ys[j]) / (g.ys[j + 1] - g.ys[j])
-    v = field.values
-    return ((1 - dx) * (1 - dy) * v[j, i] + dx * (1 - dy) * v[j, i + 1]
-            + (1 - dx) * dy * v[j + 1, i] + dx * dy * v[j + 1, i + 1])

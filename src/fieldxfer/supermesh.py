@@ -4,7 +4,10 @@ Setup phase (once per mesh/grid pair): every element is clipped against its
 candidate grid cells, each intersection polygon is fan-tessellated around
 its vertex centroid, triangle Gauss points are seeded in physical space,
 and the shape-function values at every Gauss point are precomputed from
-its element-reference coordinates, found by batched Newton inversion.
+its element-reference coordinates. Those come from one batched inversion
+of the element maps: the map coefficients are folded once per element,
+each point starts from the closed-form root of its map, and one Newton
+step polishes it.
 
 Execution phase (once per field/timestep): reconstruct the field at the
 cached Gauss points and accumulate b_k = sum |T_m| w_q N_k(xi_q) f(x_q).
@@ -21,7 +24,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError
-from .fem import QuadMesh, accumulate, newton_inverse_batch, shape_functions, triangle_rule
+from .fem import (QuadMesh, accumulate, map_coefficients, newton_inverse_batch,
+                  shape_functions, triangle_rule)
 from .grid import ScalarField, StructuredGrid
 from .interp import Interpolator, make_interpolator
 
@@ -99,16 +103,19 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
     element_gauss_offsets = np.concatenate(
         [[0], np.cumsum(np.bincount(gauss_element, minlength=mesh.n_elements))])
 
-    # one global Newton batch: each Gauss point inverts its own element map
-    corner = mesh.element_coords()[gauss_element]
+    # one global inversion batch: each Gauss point inverts its own element
+    # map, from coefficients folded once per element
+    corners = mesh.element_coords()
+    coef_x, coef_y = map_coefficients(corners[:, :, 0], corners[:, :, 1])
     try:
-        gauss_ref = newton_inverse_batch(corner[:, :, 0], corner[:, :, 1], gauss_xy)
+        gauss_ref = newton_inverse_batch(coef_x[:, gauss_element],
+                                         coef_y[:, gauss_element], gauss_xy)
     except ConvergenceError as exc:
         k = exc.point_index or 0
         raise ConvergenceError(
             f"supermesh setup: inverse mapping failed in element "
             f"{int(gauss_element[k])} at point {tuple(gauss_xy[k])} "
-            f"(residual {exc.residual})",
+            f"(residual {exc.residual} in element units)",
             point_index=k, residual=exc.residual) from exc
     gauss_shape, _, _ = shape_functions(gauss_ref)
 

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from fieldxfer import (ConvergenceError, FormatError, QuadMesh,
+from fieldxfer import (ConvergenceError, QuadMesh,
                        SingularMapError, forward_map, gauss_legendre,
                        inverse_map, read_qm1, rect_mesh,
                        shape_functions, tensor_product_rule, triangle_rule,
                        write_qm1)
-from fieldxfer.fem import jacobian_all, newton_inverse_batch
+from fieldxfer.fem import jacobian_all, map_coefficients, newton_inverse_batch
 from conftest import random_convex_quad
+
+# single elements, four CCW corners each
+SKEWED = [[0, 0], [4, 0.5], [3, 3], [0.5, 2]]
+TRAPEZOID = [[0, 0], [2, 0], [1, 1], [0, 1]]
+PARALLELOGRAM = [[0, 0], [3, 1], [4, 4], [1, 3]]
 
 
 class TestShapeFunctions:
@@ -31,6 +38,19 @@ class TestShapeFunctions:
         assert np.max(np.abs(N.sum(axis=1) - 1.0)) < 1e-14
         assert np.max(np.abs(dxi.sum(axis=1))) < 1e-14
         assert np.max(np.abs(deta.sum(axis=1))) < 1e-14
+
+    def test_bitwise_equal_to_corner_sign_formula(self, rng):
+        # the per-corner formula N_j = (1 + xi_j xi)(1 + eta_j eta)/4 as a
+        # reference, broadcast over the corner signs
+        xi_s = np.array([-1.0, 1.0, 1.0, -1.0])
+        eta_s = np.array([-1.0, -1.0, 1.0, 1.0])
+        pts = np.concatenate([rng.uniform(-1, 1, (1000, 2)), [[-1.0, 1.0], [0.0, -0.0]]])
+        xi, eta = pts[:, :1], pts[:, 1:]
+        expected = (0.25 * (1.0 + xi_s * xi) * (1.0 + eta_s * eta),
+                    0.25 * xi_s * (1.0 + eta_s * eta),
+                    0.25 * eta_s * (1.0 + xi_s * xi))
+        for got, want in zip(shape_functions(pts), expected):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGeometryMap:
@@ -78,20 +98,121 @@ class TestInverseMap:
         assert np.allclose(inverse_map(mesh, 0, [center]), [[0.0, 0.0]], atol=1e-12)
 
     def test_nonconvergence_reports_point(self):
-        # non-affine element: a single Newton step cannot reach tolerance
+        # (3, 3) lies far outside the trapezoid: the closed-form start
+        # misses, and one Newton step from the center cannot reach tolerance
         mesh = QuadMesh([[0, 0], [2, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
         center = forward_map(mesh, 0, [0.0, 0.0])
         with pytest.raises(ConvergenceError) as info:
-            inverse_map(mesh, 0, [center, [0.3, 0.8]], max_iter=1)
+            inverse_map(mesh, 0, [center, [3.0, 3.0]], max_iter=1)
         assert info.value.point_index == 1
         assert info.value.residual > 0
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_thresholds_in_element_units(self, scale):
+        mesh = QuadMesh(np.array(TRAPEZOID) * scale + 5.0 * scale, [[0, 1, 2, 3]])
+        ref = np.array([[0.3, -0.7], [1.0, 1.0], [-0.25, 0.5]])
+        back = inverse_map(mesh, 0, forward_map(mesh, 0, ref))
+        assert np.max(np.abs(back - ref)) <= 1e-12
+        # one Newton step from the center misses (3, 3) by the same
+        # relative amount at any scale
+        with pytest.raises(ConvergenceError) as info:
+            inverse_map(mesh, 0, [[8.0 * scale, 8.0 * scale]], max_iter=1)
+        assert info.value.residual == pytest.approx(70 / 9, rel=1e-9)
 
     def test_singular_map(self):
         # collapsed element: all corners on one segment
         cx = np.array([[0.0, 1.0, 2.0, 3.0]])
         cy = np.array([[0.0, 1.0, 2.0, 3.0]])
         with pytest.raises(SingularMapError):
-            newton_inverse_batch(cx, cy, np.array([[0.3, 0.7]]))
+            newton_inverse_batch(*map_coefficients(cx, cy), np.array([[0.3, 0.7]]))
+
+
+def _convex(corners, margin=0.05):
+    v = np.roll(corners, -1, axis=0) - corners
+    w = np.roll(v, -1, axis=0)
+    return bool(np.all(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0] > margin))
+
+
+@st.composite
+def element_and_ref_points(draw):
+    """A convex quad, a near-parallelogram or an exact parallelogram, and
+    reference points inside it, on its edges or at its corners."""
+    kind = draw(st.sampled_from(["convex", "near-parallelogram", "parallelogram",
+                                 "boundary"]))
+    unit = st.floats(-0.3, 0.3)
+    if kind in ("convex", "boundary"):
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        corners += np.array(draw(st.lists(unit, min_size=8, max_size=8))).reshape(4, 2)
+    else:
+        # dyadic corners, so that an exact parallelogram stays exact
+        dyadic = st.integers(-8, 8).map(lambda k: k / 32)
+        u = np.array([1.0, 0.0]) + draw(st.tuples(dyadic, dyadic))
+        v = np.array([0.0, 1.0]) + draw(st.tuples(dyadic, dyadic))
+        corners = np.array([[0.0, 0.0], u, u + v, v])
+        if kind == "near-parallelogram":
+            corners[2] += draw(st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6)))
+    assume(_convex(corners))
+    # whole quarter turns keep dyadic corners exact; any turn puts the
+    # larger xi coefficient on either axis
+    quarters = draw(st.integers(0, 3) | st.floats(0.0, 4.0))
+    cos, sin = np.cos(0.5 * np.pi * quarters), np.sin(0.5 * np.pi * quarters)
+    if isinstance(quarters, int):
+        cos, sin = round(cos), round(sin)
+    rotation = np.array([[cos, -sin], [sin, cos]])
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    offset = np.array(draw(st.tuples(st.floats(-10, 10), st.floats(-10, 10))))
+    corners = (corners @ rotation.T + offset) * scale
+    ref = np.array(draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                                 min_size=1, max_size=20)))
+    if kind == "boundary":
+        sides = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=2 * len(ref), max_size=2 * len(ref))))
+        pin = np.array(draw(st.lists(st.sampled_from([0, 1, 2]),
+                                     min_size=len(ref), max_size=len(ref))))
+        # pin xi (0), eta (1) or both (2) to an edge of the reference square
+        sides = sides.reshape(-1, 2)
+        ref[pin != 1, 0] = sides[pin != 1, 0]
+        ref[pin != 0, 1] = sides[pin != 0, 1]
+    return QuadMesh(corners, [[0, 1, 2, 3]]), ref
+
+
+class TestClosedFormStart:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=element_and_ref_points())
+    # the trapezoid turned a quarter: xi only moves y, so xi must come
+    # from the y equation
+    @example(case=(QuadMesh(np.array(TRAPEZOID) @ [[0, 1], [-1, 0]], [[0, 1, 2, 3]]),
+                   np.array([[0.5, -0.25], [-0.75, 0.9], [1.0, -1.0]])))
+    def test_inside_points_need_one_iteration(self, case):
+        mesh, ref = case
+        back = inverse_map(mesh, 0, forward_map(mesh, 0, ref), max_iter=1)
+        assert np.max(np.abs(back - ref)) <= 1e-12
+
+    # outside points: the root that Newton from the element center finds,
+    # or its error, as before the closed-form start existed. Where a point
+    # has two real roots, the closed-form root nearest [-1, 1] can be the
+    # other one (SKEWED at (-3, -9), (5, 15) and (12, -8)).
+    @pytest.mark.parametrize("corners, point, expected", [
+        (TRAPEZOID, (3, 3), (-7.0, 5.0)),
+        (TRAPEZOID, (-3, -9), (-17 / 11, -19.0)),
+        (TRAPEZOID, (-10, 2), SingularMapError),
+        (SKEWED, (-3, -9), (-1.132936222147, -10.118284735106)),
+        (SKEWED, (5, 15), (-1.283450811674, 14.624458379109)),
+        (SKEWED, (12, -8), (2.107235825315, -7.321507236805)),
+        (SKEWED, (6, 6), (4.479833637888, 1.747833075633)),
+        (SKEWED, (-10, 2), ConvergenceError),
+        (SKEWED, (-4, 7), ConvergenceError),
+        (PARALLELOGRAM, (12, -8), (10.0, -10.0)),
+        (PARALLELOGRAM, (-4, 7), (-5.75, 5.25)),
+    ])
+    def test_outside_points_keep_their_root_or_error(self, corners, point, expected):
+        mesh = QuadMesh(corners, [[0, 1, 2, 3]])
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                inverse_map(mesh, 0, [point])
+        else:
+            assert np.allclose(inverse_map(mesh, 0, [point]), [expected],
+                               rtol=0, atol=1e-9)
 
 
 class TestGaussLegendre:
@@ -212,9 +333,3 @@ class TestQm1Format:
         back = read_qm1(path)
         assert np.array_equal(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.qm1"
-        path.write_text("QX 1\n1 0\n0 0\n")
-        with pytest.raises(FormatError):
-            read_qm1(path)

@@ -95,6 +95,7 @@ RHS = "RHS 1\n2\n0.5\n0.25\n"
 # (reader, file text) for files each reader must reject
 MALFORMED = {
     "fdf-bad-tag": (read_fdf, FDF.replace("FDF", "FDX")),
+    "fdf-bad-version": (read_fdf, FDF.replace("FDF 1", "FDF 7")),
     "fdf-one-count": (read_fdf, FDF.replace("3 2\n", "3\n")),
     "fdf-three-counts": (read_fdf, FDF.replace("3 2\n", "3 2 1\n")),
     "fdf-non-integer-count": (read_fdf, FDF.replace("3 2\n", "3 2.0\n")),

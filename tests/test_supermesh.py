@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fieldxfer import (ConvergenceError, QuadMesh, StructuredGrid,
+from fieldxfer import (ConvergenceError, QuadMesh, ScalarField, StructuredGrid,
                        assemble_quadrature, assemble_supermesh, build_supermesh,
                        lagrange_interpolator, rect_mesh, sample_field, supermesh,
                        trapezoid_integral, triangle_rule)
@@ -444,3 +444,33 @@ class TestAssembleSupermesh:
             w_sum = cache.gauss_w[lo:hi].sum()
             area = mesh.element_areas()[e]
             assert w_sum == pytest.approx(area, rel=1e-12)
+
+
+def series_like_pair(rng, n_e=12, n_g=31):
+    """Jittered n_e x n_e mesh and non-uniform n_g x n_g grid on the unit square."""
+    base = rect_mesh(0, 0, 1, 1, n_e, n_e)
+    nodes = base.nodes.copy().reshape(n_e + 1, n_e + 1, 2)
+    nodes[1:-1, 1:-1] += rng.uniform(-0.3, 0.3, nodes[1:-1, 1:-1].shape) / n_e
+    return QuadMesh(nodes.reshape(-1, 2), base.elements), random_grid(rng, n_g, n_g)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPlacementAndScale:
+    """Setup measures areas and inverse-map thresholds in element units, so
+    moving or scaling a pair keeps its polygons and its conservation."""
+
+    @pytest.mark.parametrize("shift, scale", [(1e4, 1.0), (0.0, 1e-7), (0.0, 1e6)],
+                             ids=["shift-1e4", "scale-1e-7", "scale-1e6"])
+    def test_moved_pair_keeps_polygons_and_conserves(self, rng, shift, scale):
+        mesh, grid = series_like_pair(rng)
+        values = sample_field(grid, lambda x, y: np.sin(2.5 * np.pi * x)
+                              * np.cos(1.5 * np.pi * y) + 0.3 * x).values
+        n_polygons = build_supermesh(mesh, grid).n_polygons
+        moved_mesh = QuadMesh(mesh.nodes * scale + shift, mesh.elements)
+        moved_grid = StructuredGrid(grid.xs * scale + shift, grid.ys * scale + shift)
+        cache = build_supermesh(moved_mesh, moved_grid)
+        assert cache.n_polygons == n_polygons
+        field = ScalarField(moved_grid, values)
+        total = assemble_supermesh(cache, field, "bilinear").sum()
+        i_trap = trapezoid_integral(field)
+        assert abs(total - i_trap) <= 1e-12 * abs(i_trap)
