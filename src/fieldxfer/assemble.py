@@ -36,7 +36,7 @@ def _assemble(mesh, evaluate, n_gauss):
     if n_gauss < 1:
         raise ValueError("n_gauss must be >= 1")
     rule = tensor_product_rule(n_gauss)
-    N, _, _ = shape_functions(rule.points)        # (nq, 4)
+    N = shape_functions(rule.points)              # (nq, 4)
     det = jacobian_all(mesh, rule.points)         # (Ne, nq)
     phys = forward_map(mesh, None, rule.points)   # (Ne, nq, 2)
     try:

@@ -88,8 +88,13 @@ class QuadMesh:
         return jacobian_all(self, rule.points) @ rule.weights
 
     def _check_orientation(self):
-        corners = np.column_stack([_XI_SIGNS, _ETA_SIGNS])
-        det = jacobian_all(self, corners)
+        # det J at a corner is a quarter of the cross product of the edges
+        # to its two neighbours; taken from the monomial coefficients, it
+        # loses any edge that is small against the largest coordinate
+        corners = self.element_coords()
+        to_next = np.roll(corners, -1, axis=1) - corners
+        to_prev = np.roll(corners, 1, axis=1) - corners
+        det = 0.25 * (to_next[..., 0] * to_prev[..., 1] - to_next[..., 1] * to_prev[..., 0])
         if det.size and det.min() <= 0.0:
             e = int(np.argmax(det.min(axis=1) <= 0.0))
             raise ValueError(
@@ -124,12 +129,12 @@ def rect_mesh(x0, y0, x1, y1, nx_e, ny_e) -> QuadMesh:
 
 
 def shape_functions(ref_points):
-    """Q4 shape functions and derivatives at reference points.
+    """Q4 shape functions at reference points.
 
-    ref_points: (..., 2) array of (xi, eta). Returns (N, dN_dxi, dN_deta),
-    each of shape (..., 4). N_j = (1 + xi_j xi)(1 + eta_j eta)/4 with the
-    corner signs of the reference square; sum_j N_j == 1 identically.
-    Every value is a product of the factors 1 +- xi and 1 +- eta.
+    ref_points: (..., 2) array of (xi, eta). Returns N of shape (..., 4),
+    N_j = (1 + xi_j xi)(1 + eta_j eta)/4 with the corner signs of the
+    reference square; sum_j N_j == 1 identically. Every value is a product
+    of the factors 1 +- xi and 1 +- eta.
     """
     ref_points = np.asarray(ref_points, dtype=float)
     xi = ref_points[..., 0]
@@ -140,13 +145,9 @@ def shape_functions(ref_points):
     em = 1.0 - eta
     ep = 1.0 + eta
     N = np.empty(xi.shape + (4,))
-    dN_dxi = np.empty_like(N)
-    dN_deta = np.empty_like(N)
     for k, (x, e) in enumerate(((xm, em), (xp, em), (xp, ep), (xm, ep))):
         np.multiply(x, e, out=N[..., k])
-        np.multiply(_XI_SIGNS[k] * 0.25, e, out=dN_dxi[..., k])
-        np.multiply(_ETA_SIGNS[k], x, out=dN_deta[..., k])
-    return N, dN_dxi, dN_deta
+    return N
 
 
 def forward_map(mesh: QuadMesh, e: int | None, ref_points) -> np.ndarray:
@@ -155,19 +156,22 @@ def forward_map(mesh: QuadMesh, e: int | None, ref_points) -> np.ndarray:
     (..., 2) for one element e; with e=None the (nq, 2) points are mapped
     in every element at once, giving (Ne, nq, 2).
     """
-    N, _, _ = shape_functions(ref_points)
-    return N @ mesh.element_coords(e)
+    return shape_functions(ref_points) @ mesh.element_coords(e)
 
 
 def jacobian_all(mesh: QuadMesh, ref_points) -> np.ndarray:
-    """det J of every element at shared reference points, shape (Ne, nq)."""
-    coords = mesh.nodes[mesh.elements]          # (Ne, 4, 2)
-    _, dxi, deta = shape_functions(ref_points)  # (nq, 4)
-    j11 = dxi @ coords[:, :, 0].T               # (nq, Ne)
-    j12 = deta @ coords[:, :, 0].T
-    j21 = dxi @ coords[:, :, 1].T
-    j22 = deta @ coords[:, :, 1].T
-    return (j11 * j22 - j12 * j21).T
+    """det J of every element at shared reference points, shape (Ne, nq).
+
+    With the monomial coefficients of :func:`map_coefficients`,
+    det J = (ax1 + ax3 eta)(ay2 + ay3 xi) - (ax2 + ax3 xi)(ay1 + ay3 eta),
+    the determinant the inverse map's Newton step uses.
+    """
+    corners = mesh.element_coords()
+    coef_x, coef_y = map_coefficients(corners[:, :, 0], corners[:, :, 1])
+    _, ax1, ax2, ax3 = coef_x[:, :, None]       # (Ne, 1) each
+    _, ay1, ay2, ay3 = coef_y[:, :, None]
+    xi, eta = np.asarray(ref_points, dtype=float).reshape(-1, 2).T
+    return (ax1 + ax3 * eta) * (ay2 + ay3 * xi) - (ax2 + ax3 * xi) * (ay1 + ay3 * eta)
 
 
 def map_coefficients(corner_x, corner_y):

@@ -5,14 +5,23 @@ Two interpolant families, both tensor products of 1-D rules:
 * B-splines of degree 1..5 on clamped knots, coefficients solved by two
   sweeps of banded collocation systems (x-direction, then y-direction).
 * Local Lagrange polynomials of degree 1 or 3 on a shifted
-  (p+1)-point-per-axis stencil; degree 1 is plain bilinear interpolation,
-  evaluated by the direct two-point formula.
+  (p+1)-point-per-axis stencil, with the grid samples as coefficients;
+  degree 1 is plain bilinear interpolation.
+
+Every interpolant is evaluated the same way. Each axis has a rule that
+maps a coordinate to the first index of its p+1 active coefficients and
+their p+1 weights, and the value at (x, y) is the sum over the
+(p+1)^2 terms ``wy[a] * wx[b] * coef[iy + a, ix + b]``. Those weights are
+the entries of the linear map from coefficients to point values.
 
 Evaluation is batched: interpolators are immutable after construction and
 ``evaluate`` is pure, so one interpolator serves any number of point sets.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -22,20 +31,26 @@ from .grid import ScalarField, StructuredGrid
 
 BSPLINE_DEGREES = (1, 2, 3, 4, 5)
 LAGRANGE_DEGREES = (1, 3)
+# points per pass of Interpolator.evaluate, so that the temporaries of one
+# pass stay in cache
+_EVAL_CHUNK = 16384
 
 
 class Interpolator:
     """Evaluable reconstruction of a grid field.
 
     Build through :func:`bspline_interpolator`, :func:`lagrange_interpolator`
-    or :func:`make_interpolator`; do not mutate afterwards.
+    or :func:`make_interpolator`; do not mutate afterwards. ``coef`` is the
+    (ny, nx) coefficient array and ``rules`` the (x, y) pair of 1-D rules,
+    each mapping coordinates to ``(first index, list of p+1 weight rows)``.
     """
 
-    def __init__(self, kind: str, degree: int, grid: StructuredGrid, state):
+    def __init__(self, kind: str, degree: int, grid: StructuredGrid, coef, rules):
         self.kind = kind
         self.degree = degree
         self.grid = grid
-        self._state = state
+        self._coef = np.ascontiguousarray(coef, dtype=float)
+        self._rules = rules
 
     def evaluate(self, points) -> np.ndarray:
         """Interpolated values at an (n, 2) batch of physical points.
@@ -44,16 +59,27 @@ class Interpolator:
         point raises :class:`DomainError` naming the first offender.
         Deterministic: identical inputs give bitwise identical outputs.
         """
-        points = np.asarray(points, dtype=float)
-        if points.size == 0:
-            return np.zeros(0)
-        points = points.reshape(-1, 2)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
         self._check_domain(points)
-        if self.kind == "bspline":
-            return _eval_bspline(self._state, self.degree, points)
-        if self.degree == 1:
-            return _eval_bilinear(self.grid, self._state, points)
-        return _eval_lagrange(self.grid, self._state, self.degree, points)
+        out = np.empty(len(points))
+        for lo in range(0, len(points), _EVAL_CHUNK):
+            out[lo:lo + _EVAL_CHUNK] = self._sum_terms(points[lo:lo + _EVAL_CHUNK])
+        return out
+
+    def _sum_terms(self, points):
+        """sum_{a,b} wy[a] wx[b] coef[iy + a, ix + b] at each point."""
+        x, y = points.T
+        rule_x, rule_y = self._rules
+        ix, wx = rule_x(x)
+        iy, wy = rule_y(y)
+        ncols = self._coef.shape[1]
+        flat = self._coef.ravel()
+        base = iy * ncols + ix
+        out = np.zeros(len(points))
+        for a, wy_a in enumerate(wy):
+            for b, wx_b in enumerate(wx):
+                out += wy_a * wx_b * flat.take(base + (a * ncols + b))
+        return out
 
     def _check_domain(self, points):
         g = self.grid
@@ -108,8 +134,8 @@ def bspline_interpolator(field: ScalarField, degree: int) -> Interpolator:
     tx, cx = _collocation_solve(g.xs, degree, field.values.T)
     # sweep 2: along y for each x-coefficient column
     ty, c = _collocation_solve(g.ys, degree, cx.T)
-    state = (tx, ty, np.ascontiguousarray(c))
-    return Interpolator("bspline", degree, g, state)
+    rules = (partial(bspline_basis, tx, degree), partial(bspline_basis, ty, degree))
+    return Interpolator("bspline", degree, g, c, rules)
 
 
 def _require_points(grid, degree):
@@ -140,30 +166,31 @@ def interpolation_knots(coords, degree: int) -> np.ndarray:
 def bspline_basis(knots, degree: int, x):
     """Nonzero B-spline basis values at each x (Cox-de Boor recursion).
 
-    Returns ``(span, B)`` where ``B[k, r]`` is the value of basis function
-    ``span[k] - degree + r`` at ``x[k]``.
+    Returns ``(first, B)`` where ``B`` is a list of degree+1 arrays shaped
+    like x and ``B[r][k]`` is the value of basis function ``first[k] + r``
+    at ``x[k]``; this is the 1-D rule of the B-spline interpolant. The
+    knots must come from :func:`interpolation_knots` on strictly increasing
+    sites, so that every knot interval the recursion divides by contains
+    the nonempty span.
     """
     p = degree
     n_basis = knots.size - p - 1
     x = np.asarray(x, dtype=float)
     span = np.searchsorted(knots, x, side="right") - 1
     span = np.clip(span, p, n_basis - 1)
-    npts = x.size
-    B = np.zeros((npts, p + 1))
-    B[:, 0] = 1.0
-    left = np.empty((npts, p))
-    right = np.empty((npts, p))
+    B = [np.ones_like(x)]
+    left = []
+    right = []
     for j in range(1, p + 1):
-        left[:, j - 1] = x - knots[span + 1 - j]
-        right[:, j - 1] = knots[span + j] - x
-        saved = np.zeros(npts)
+        left.append(x - knots[span + 1 - j])
+        right.append(knots[span + j] - x)
+        saved = 0.0
         for r in range(j):
-            denom = right[:, r] + left[:, j - r - 1]
-            temp = np.where(denom != 0.0, B[:, r] / np.where(denom == 0.0, 1.0, denom), 0.0)
-            B[:, r] = saved + right[:, r] * temp
-            saved = left[:, j - r - 1] * temp
-        B[:, j] = saved
-    return span, B
+            temp = B[r] / (right[r] + left[j - r - 1])
+            B[r] = saved + right[r] * temp
+            saved = left[j - r - 1] * temp
+        B.append(saved)
+    return span - p, B
 
 
 def _collocation_solve(coords, degree, rhs):
@@ -175,25 +202,13 @@ def _collocation_solve(coords, degree, rhs):
     p = degree
     n = coords.size
     knots = interpolation_knots(coords, p)
-    span, B = bspline_basis(knots, p, coords)
+    first, B = bspline_basis(knots, p, coords)
+    # banded storage: ab[p + i - m, m] = A[i, m]
     ab = np.zeros((2 * p + 1, n))
-    rows = p + np.arange(n)[:, None] - (span[:, None] - p + np.arange(p + 1)[None, :])
-    cols = span[:, None] - p + np.arange(p + 1)[None, :]
-    ab[rows.ravel(), cols.ravel()] = B.ravel()
+    for r, row in enumerate(B):
+        ab[p - r + np.arange(n) - first, first + r] = row
     coeffs = solve_banded((p, p), ab, rhs)
     return knots, coeffs
-
-
-def _eval_bspline(state, degree, points):
-    tx, ty, c = state
-    p = degree
-    sx, Bx = bspline_basis(tx, p, points[:, 0])
-    sy, By = bspline_basis(ty, p, points[:, 1])
-    offs = np.arange(p + 1)
-    my = sy[:, None] - p + offs[None, :]
-    mx = sx[:, None] - p + offs[None, :]
-    blocks = c[my[:, :, None], mx[:, None, :]]
-    return np.einsum("kq,kqr,kr->k", By, blocks, Bx)
 
 
 # --- Lagrange --------------------------------------------------------------
@@ -203,14 +218,15 @@ def lagrange_interpolator(field: ScalarField, degree: int) -> Interpolator:
     """Local tensor-product Lagrange interpolant of degree 1 or 3.
 
     Evaluation picks the (degree+1)^2 stencil around each query point
-    (shifted inward near the boundary) and interpolates first in x, then in
-    y. Degree 1 is bilinear interpolation, evaluated by the direct formula.
+    (shifted inward near the boundary), with the grid samples as
+    coefficients. Degree 1 is bilinear interpolation.
     """
     if degree not in LAGRANGE_DEGREES:
         raise ValueError(f"Lagrange degree must be in {LAGRANGE_DEGREES}, got {degree}")
     g = field.grid
     _require_points(g, degree)
-    return Interpolator("lagrange", degree, g, field.values)
+    rules = (partial(_lagrange_rule, g.xs, degree), partial(_lagrange_rule, g.ys, degree))
+    return Interpolator("lagrange", degree, g, field.values, rules)
 
 
 def _stencil_start(coords, x, p):
@@ -220,48 +236,16 @@ def _stencil_start(coords, x, p):
     return np.clip(cell - (p - 1) // 2, 0, coords.size - 1 - p)
 
 
-def _lagrange_basis(nodes, x):
-    """Lagrange basis values at x for per-point node sets.
-
-    nodes: (n, p+1) stencil coordinates, x: (n,). Returns (n, p+1).
-    """
-    m = nodes.shape[1]
-    L = np.ones_like(nodes)
-    for r in range(m):
-        for k in range(m):
-            if k == r:
-                continue
-            L[:, r] *= (x - nodes[:, k]) / (nodes[:, r] - nodes[:, k])
-    return L
-
-
-def _eval_bilinear(grid, values, points):
-    """Degree-1 Lagrange by the direct formula:
-    f = (1-dx)(1-dy) f00 + dx (1-dy) f10 + (1-dx) dy f01 + dx dy f11 with
-    dx, dy the normalized offsets inside the containing cell.
-    """
-    x, y = points[:, 0], points[:, 1]
-    i = np.clip(np.searchsorted(grid.xs, x, side="right") - 1, 0, grid.nx - 2)
-    j = np.clip(np.searchsorted(grid.ys, y, side="right") - 1, 0, grid.ny - 2)
-    dx = (x - grid.xs[i]) / (grid.xs[i + 1] - grid.xs[i])
-    dy = (y - grid.ys[j]) / (grid.ys[j + 1] - grid.ys[j])
-    return ((1 - dx) * (1 - dy) * values[j, i] + dx * (1 - dy) * values[j, i + 1]
-            + (1 - dx) * dy * values[j + 1, i] + dx * dy * values[j + 1, i + 1])
-
-
-def _eval_lagrange(grid, values, degree, points):
-    p = degree
-    x = points[:, 0]
-    y = points[:, 1]
-    i0 = _stencil_start(grid.xs, x, p)
-    j0 = _stencil_start(grid.ys, y, p)
-    offs = np.arange(p + 1)
-    xi = grid.xs[i0[:, None] + offs[None, :]]
-    yj = grid.ys[j0[:, None] + offs[None, :]]
-    Lx = _lagrange_basis(xi, x)
-    Ly = _lagrange_basis(yj, y)
-    block = values[j0[:, None, None] + offs[None, :, None],
-                   i0[:, None, None] + offs[None, None, :]]
-    # interpolate along x for each stencil row, then along y
-    rows = np.einsum("kjr,kr->kj", block, Lx)
-    return np.einsum("kj,kj->k", rows, Ly)
+def _lagrange_rule(coords, degree, x):
+    """Stencil start and Lagrange weights on the stencil nodes x_0..x_p:
+    w_r = prod_{k != r} (x - x_k) / (x_r - x_k) for r >= 1, and w_0 =
+    1 - sum of the others, which for degree 1 is the bilinear 1 - t. At a
+    node every weight is exactly 0 or 1: the node's own factors are 1, and
+    every other weight has a factor 0."""
+    start = _stencil_start(coords, x, degree)
+    nodes = [coords[start + k] for k in range(degree + 1)]
+    offsets = [x - node for node in nodes]
+    rest = [math.prod(offsets[k] / (node - other)
+                      for k, other in enumerate(nodes) if k != r)
+            for r, node in enumerate(nodes) if r > 0]
+    return start, [1.0 - sum(rest)] + rest

@@ -29,6 +29,9 @@ from .fem import (QuadMesh, accumulate, map_coefficients, newton_inverse_batch,
 from .grid import ScalarField, StructuredGrid
 from .interp import Interpolator, make_interpolator
 
+# polygons per formatting run of SupermeshCache.dump_polygons
+_DUMP_CHUNK = 8192
+
 
 class SupermeshCache:
     """Precomputed intersection geometry and quadrature data.
@@ -74,14 +77,26 @@ class SupermeshCache:
         return self.poly_verts[lo:hi]
 
     def dump_polygons(self, path) -> None:
-        """Debug polygon soup: one line per polygon, ``e i j x0 y0 x1 y1 ...``."""
+        """Debug polygon soup: one line per polygon, ``e i j x0 y0 x1 y1 ...``,
+        in polygon order. Each run of _DUMP_CHUNK polygons is formatted
+        with one % per vertex count; runs bound the memory of the text."""
+        counts = np.diff(self.poly_offsets)
         with open(path, "w", encoding="utf-8") as fh:
-            for k in range(self.n_polygons):
-                verts = self.polygon_vertices(k)
-                coords = " ".join(f"{v:.17g}" for v in verts.ravel())
-                e = self.poly_element[k]
-                i, j = self.poly_cell[k]
-                fh.write(f"{e} {i} {j} {coords}\n")
+            for lo in range(0, self.n_polygons, _DUMP_CHUNK):
+                chunk = np.arange(lo, min(lo + _DUMP_CHUNK, self.n_polygons))
+                lines = [None] * len(chunk)
+                for m in np.unique(counts[chunk]):
+                    polys = chunk[counts[chunk] == m]
+                    values = np.empty((len(polys), 3 + 2 * m), dtype=object)
+                    values[:, 0] = self.poly_element[polys]
+                    values[:, 1:3] = self.poly_cell[polys]
+                    values[:, 3:] = self.poly_verts[
+                        self.poly_offsets[polys, None] + np.arange(m)].reshape(len(polys), -1)
+                    row = "%d %d %d" + " %.17g" * (2 * m) + "\n"
+                    text = row * len(polys) % tuple(values.ravel())
+                    for k, line in zip(polys - lo, text.splitlines(keepends=True)):
+                        lines[k] = line
+                fh.writelines(lines)
 
 
 def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
@@ -117,7 +132,7 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
             f"{int(gauss_element[k])} at point {tuple(gauss_xy[k])} "
             f"(residual {exc.residual} in element units)",
             point_index=k, residual=exc.residual) from exc
-    gauss_shape, _, _ = shape_functions(gauss_ref)
+    gauss_shape = shape_functions(gauss_ref)
 
     return SupermeshCache(mesh, grid, poly_element, poly_cell, poly_offsets,
                           poly_verts, poly_areas, gauss_xy, gauss_w,

@@ -4,11 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from fieldxfer import (ConvergenceError, FormatError, QuadMesh,
-                       SingularMapError, forward_map, gauss_legendre,
-                       inverse_map, read_qm1, rect_mesh,
-                       shape_functions, tensor_product_rule, triangle_rule,
-                       write_qm1)
+from fieldxfer import (ConvergenceError, QuadMesh, SingularMapError,
+                       forward_map, gauss_legendre, inverse_map, read_qm1,
+                       rect_mesh, shape_functions, tensor_product_rule,
+                       triangle_rule, write_qm1)
 from fieldxfer.fem import jacobian_all, map_coefficients, newton_inverse_batch
 from conftest import random_convex_quad
 
@@ -20,24 +19,23 @@ PARALLELOGRAM = [[0, 0], [3, 1], [4, 4], [1, 3]]
 
 class TestShapeFunctions:
     def test_center(self):
-        N, _, _ = shape_functions([0.0, 0.0])
+        N = shape_functions([0.0, 0.0])
         assert np.array_equal(N, [0.25, 0.25, 0.25, 0.25])
 
     def test_corner_cardinality(self):
-        N, _, _ = shape_functions([-1.0, -1.0])
+        N = shape_functions([-1.0, -1.0])
         assert np.array_equal(N, [1.0, 0.0, 0.0, 0.0])
 
     def test_third_node_value(self):
         # node 2 sits at reference corner (1, 1)
-        N, _, _ = shape_functions([0.5, -0.5])
+        N = shape_functions([0.5, -0.5])
         assert N[2] == pytest.approx(0.1875, abs=0)
 
     def test_partition_of_unity(self, rng):
         pts = rng.uniform(-1, 1, (1000, 2))
-        N, dxi, deta = shape_functions(pts)
+        N = shape_functions(pts)
+        assert N.shape == (1000, 4)
         assert np.max(np.abs(N.sum(axis=1) - 1.0)) < 1e-14
-        assert np.max(np.abs(dxi.sum(axis=1))) < 1e-14
-        assert np.max(np.abs(deta.sum(axis=1))) < 1e-14
 
     def test_bitwise_equal_to_corner_sign_formula(self, rng):
         # the per-corner formula N_j = (1 + xi_j xi)(1 + eta_j eta)/4 as a
@@ -46,11 +44,10 @@ class TestShapeFunctions:
         eta_s = np.array([-1.0, -1.0, 1.0, 1.0])
         pts = np.concatenate([rng.uniform(-1, 1, (1000, 2)), [[-1.0, 1.0], [0.0, -0.0]]])
         xi, eta = pts[:, :1], pts[:, 1:]
-        expected = (0.25 * (1.0 + xi_s * xi) * (1.0 + eta_s * eta),
-                    0.25 * xi_s * (1.0 + eta_s * eta),
-                    0.25 * eta_s * (1.0 + xi_s * xi))
-        for got, want in zip(shape_functions(pts), expected):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        expected = 0.25 * (1.0 + xi_s * xi) * (1.0 + eta_s * eta)
+        got = shape_functions(pts)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestGeometryMap:
@@ -74,6 +71,20 @@ class TestGeometryMap:
     def test_trapezoid_center(self):
         mesh = QuadMesh([[0, 0], [2, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
         assert np.allclose(forward_map(mesh, 0, [0.0, 0.0]), [0.75, 0.5])
+
+    def test_jacobian_matches_corner_sign_derivatives(self, rng):
+        # det [dX/dxi, dX/deta] with the derivatives of the per-corner
+        # formula N_j = (1 + xi_j xi)(1 + eta_j eta)/4 as a reference
+        nodes = np.concatenate([random_convex_quad(rng) for _ in range(6)] + [TRAPEZOID])
+        mesh = QuadMesh(nodes, np.arange(len(nodes)).reshape(-1, 4))
+        xi_s = np.array([-1.0, 1.0, 1.0, -1.0])
+        eta_s = np.array([-1.0, -1.0, 1.0, 1.0])
+        pts = rng.uniform(-1, 1, (40, 2))
+        xi, eta = pts[:, :1], pts[:, 1:]
+        d_xi = np.einsum("qj,ejd->eqd", 0.25 * xi_s * (1.0 + eta_s * eta), mesh.element_coords())
+        d_eta = np.einsum("qj,ejd->eqd", 0.25 * eta_s * (1.0 + xi_s * xi), mesh.element_coords())
+        expected = d_xi[..., 0] * d_eta[..., 1] - d_eta[..., 0] * d_xi[..., 1]
+        assert np.allclose(jacobian_all(mesh, pts), expected, rtol=1e-13, atol=0)
 
 
 class TestInverseMap:
@@ -333,9 +344,3 @@ class TestQm1Format:
         back = read_qm1(path)
         assert np.array_equal(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.qm1"
-        path.write_text("QX 1\n1 0\n0 0\n")
-        with pytest.raises(FormatError):
-            read_qm1(path)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline, RegularGridInterpolator, make_interp_spline
 
-from fieldxfer import (DomainError, StructuredGrid, bspline_interpolator,
+from fieldxfer import (DomainError, StructuredGrid, bspline_interpolator, interp,
                        lagrange_interpolator, make_interpolator, sample_field)
+from fieldxfer.interp import interpolation_knots
 from conftest import random_field, random_grid
 
 
@@ -56,6 +57,30 @@ class TestBspline:
         pts = np.column_stack([rng.uniform(g.xs[0], g.xs[-1], 60),
                                rng.uniform(g.ys[0], g.ys[-1], 60)])
         assert np.max(np.abs(interp.evaluate(pts) - poly(pts[:, 0], pts[:, 1]))) <= 1e-11
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_scipy_tensor_spline(self, rng, p):
+        # scipy's interpolating spline on the same knots, one axis at a
+        # time, pins the values between the nodes for non-polynomial data
+        g = random_grid(rng, nx=13, ny=11, lo=(-1.0, 0.5), hi=(2.0, 1.5))
+        f = sample_field(g, lambda x, y: np.sin(3 * x) * np.exp(y) + np.cos(5 * x * y))
+        tx, ty = interpolation_knots(g.xs, p), interpolation_knots(g.ys, p)
+        cx = make_interp_spline(g.xs, f.values, k=p, t=tx, axis=1).c       # (nx, ny)
+        c = make_interp_spline(g.ys, cx, k=p, t=ty, axis=1).c               # (ny, nx)
+        oracle = NdBSpline((ty, tx), c, p)
+        X, Y = np.meshgrid(g.xs, g.ys)
+        edge = np.linspace(0, 1, 7)
+        x0, x1, y0, y1 = g.xs[0], g.xs[-1], g.ys[0], g.ys[-1]
+        pts = np.concatenate([
+            np.column_stack([rng.uniform(x0, x1, 400), rng.uniform(y0, y1, 400)]),
+            np.column_stack([X.ravel(), Y.ravel()]),
+            np.column_stack([x0 + (x1 - x0) * edge, np.full(7, y0)]),
+            np.column_stack([x0 + (x1 - x0) * edge, np.full(7, y1)]),
+            np.column_stack([np.full(7, x0), y0 + (y1 - y0) * edge]),
+            np.column_stack([np.full(7, x1), y0 + (y1 - y0) * edge])])
+        ref = oracle(pts[:, ::-1])
+        got = bspline_interpolator(f, p).evaluate(pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_grid_too_small(self):
         g = StructuredGrid(np.linspace(0, 1, 3), np.linspace(0, 1, 3))
@@ -165,6 +190,19 @@ class TestEvaluate:
         for spec in ("bspline:3", "lagrange:3"):
             interp = make_interpolator(f, spec)
             assert np.array_equal(interp.evaluate(pts), interp.evaluate(pts))
+
+    def test_passes_match_single_points(self, rng, monkeypatch):
+        # each value depends on its own point only, so splitting a batch
+        # into passes of any size gives the same bits
+        monkeypatch.setattr(interp, "_EVAL_CHUNK", 7)
+        g = random_grid(rng, nx=12, ny=9)
+        f = random_field(rng, g)
+        pts = np.column_stack([rng.uniform(g.xs[0], g.xs[-1], 50),
+                               rng.uniform(g.ys[0], g.ys[-1], 50)])
+        for spec in ("bilinear", "bspline:5", "lagrange:3"):
+            it = make_interpolator(f, spec)
+            single = np.concatenate([it.evaluate(p) for p in pts])
+            assert np.array_equal(it.evaluate(pts), single)
 
     def test_make_interpolator_rejects_garbage(self, rng):
         f = random_field(rng, random_grid(rng, nx=5, ny=5))

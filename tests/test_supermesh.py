@@ -330,18 +330,27 @@ class TestBuildSupermesh:
             build_supermesh(mesh, grid)
         assert info.value.point_index == 2 * 4 * 6 - 1
 
-    def test_dump_polygons(self, tmp_path):
-        grid = StructuredGrid([0.0, 0.5, 1.0], [0.0, 1.0])
-        mesh = rect_mesh(0, 0, 1, 1, 1, 1)
+    def test_dump_polygons(self, rng, tmp_path, monkeypatch):
+        # each line reads back bitwise to its polygon, in polygon order;
+        # short formatting runs split the vertex-count groups between runs
+        monkeypatch.setattr(supermesh, "_DUMP_CHUNK", 100)
+        mesh, grid = series_like_pair(rng, n_e=12, n_g=19)
         cache = build_supermesh(mesh, grid)
+        assert set(np.diff(cache.poly_offsets).tolist()) == {3, 4, 5, 6, 7}
         path = tmp_path / "soup.txt"
         cache.dump_polygons(path)
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text().splitlines()
         assert len(lines) == cache.n_polygons
-        first = lines[0].split()
-        e, i, j = int(first[0]), int(first[1]), int(first[2])
-        coords = np.array(list(map(float, first[3:]))).reshape(-1, 2)
-        assert shoelace(coords) > 0
+        for k, line in enumerate(lines):
+            # the per-polygon formatting as the reference text
+            verts = cache.polygon_vertices(k)
+            assert line == " ".join([str(cache.poly_element[k]), *map(str, cache.poly_cell[k]),
+                                     *(f"{v:.17g}" for v in verts.ravel())])
+            tokens = line.split()
+            assert [int(t) for t in tokens[:3]] == [cache.poly_element[k], *cache.poly_cell[k]]
+            coords = np.array([float(t) for t in tokens[3:]]).reshape(-1, 2)
+            assert np.array_equal(coords.view(np.int64), verts.view(np.int64))
+            assert shoelace(coords) > 0
 
 
 def bilinear_cell_integral(field):
