@@ -149,3 +149,10 @@ class TestRhsFormat:
         text = path.read_text().splitlines()
         assert text[0] == "RHS 1"
         assert int(text[1]) == 37
+
+    def test_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "bad.rhs"
+        path.write_text("LHS 1\n1\n0.5\n")
+        from fieldxfer import FormatError
+        with pytest.raises(FormatError):
+            read_rhs(path)

@@ -4,10 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from fieldxfer import (ConvergenceError, QuadMesh, SingularMapError,
-                       forward_map, gauss_legendre, inverse_map, read_qm1,
-                       rect_mesh, shape_functions, tensor_product_rule,
-                       triangle_rule, write_qm1)
+from fieldxfer import (ConvergenceError, FormatError, QuadMesh,
+                       SingularMapError, forward_map, gauss_legendre,
+                       inverse_map, read_qm1, rect_mesh, shape_functions,
+                       tensor_product_rule, triangle_rule, write_qm1)
 from fieldxfer.fem import jacobian_all, map_coefficients, newton_inverse_batch
 from conftest import random_convex_quad
 
@@ -344,3 +344,9 @@ class TestQm1Format:
         back = read_qm1(path)
         assert np.array_equal(back.nodes, mesh.nodes)
         assert np.array_equal(back.elements, mesh.elements)
+
+    def test_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "bad.qm1"
+        path.write_text("QX 1\n1 0\n0 0\n")
+        with pytest.raises(FormatError):
+            read_qm1(path)

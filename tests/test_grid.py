@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fieldxfer import (ScalarField, StructuredGrid, read_fdf, sample_field,
-                       trapezoid_integral, trapezoid_weights, write_fdf)
+from fieldxfer import (FormatError, ScalarField, StructuredGrid, read_fdf,
+                       sample_field, trapezoid_integral, trapezoid_weights,
+                       write_fdf)
 from conftest import random_field, random_grid
 
 
@@ -166,3 +167,9 @@ class TestFdfFormat:
         assert np.array_equal(back.grid.xs, g.xs)
         assert np.array_equal(back.grid.ys, g.ys)
         assert np.array_equal(back.values, f.values)
+
+    def test_rejects_short_row(self, tmp_path):
+        path = tmp_path / "bad.fdf"
+        path.write_text("FDF 1\n3 2\n0 0.5 1\n0 1\n0 0\n0 0 0\n")
+        with pytest.raises(FormatError):
+            read_fdf(path)
