@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``transfer`` (assemble an RHS from a field and a mesh),
-``study`` (run the convergence/performance studies), ``genmesh`` and
-``genfield`` (write QM1/FDF inputs). Exit codes: 0 success, 1 numerical
-failure, 2 usage or I/O error.
+Subcommands: ``transfer`` (assemble an RHS from one FDF field file and
+one QM1 mesh file), ``study`` (run the convergence/performance studies),
+``genfield`` and ``genmesh`` (write the FDF/QM1 inputs of ``transfer``).
+Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -87,24 +87,8 @@ def _build_parser():
 
     p_tr = sub.add_parser("transfer", help="assemble and write an RHS vector")
     p_tr.add_argument("--method", choices=["supermesh", "quad"], required=True)
-    src = p_tr.add_argument_group("field source (exactly one)")
-    src = src.add_mutually_exclusive_group(required=True)
-    src.add_argument("--field", help="FDF v1 field file")
-    src.add_argument("--analytic", type=_parse_k, metavar="K",
-                     help="sample sin(Kx)sin(Ky) instead of reading a file "
-                          "(K like '2.5pi'); needs --grid-points")
-    p_tr.add_argument("--grid-points", type=int, nargs=2, metavar=("NX", "NY"),
-                      help="grid resolution for --analytic")
-    p_tr.add_argument("--grid-rect", type=float, nargs=4,
-                      metavar=("X0", "Y0", "X1", "Y1"),
-                      help="grid rectangle for --analytic (default: mesh extent)")
-    msh = p_tr.add_argument_group("mesh source (exactly one)")
-    msh = msh.add_mutually_exclusive_group(required=True)
-    msh.add_argument("--mesh", help="QM1 mesh file")
-    msh.add_argument("--mesh-rect", type=float, nargs=4,
-                     metavar=("X0", "Y0", "X1", "Y1"))
-    p_tr.add_argument("--mesh-elems", type=int, nargs=2, metavar=("NX", "NY"),
-                      help="elements per axis for --mesh-rect")
+    p_tr.add_argument("--field", required=True, help="FDF v1 field file")
+    p_tr.add_argument("--mesh", required=True, help="QM1 mesh file")
     p_tr.add_argument("--interp", default="bilinear",
                       help="reconstruction: bilinear | bspline:P | lagrange:P")
     p_tr.add_argument("--gauss", type=int,
@@ -152,27 +136,12 @@ def _build_parser():
 
 
 def _load_transfer_inputs(args, parser):
-    field, mesh = args.field is not None, args.mesh is not None
-    quad = args.method == "quad"
-    for misuse, message in (
-            (field and args.grid_points is not None, "--grid-points is not read with --field"),
-            (field and args.grid_rect is not None, "--grid-rect is not read with --field"),
-            (not field and args.grid_points is None, "--analytic needs --grid-points"),
-            (mesh and args.mesh_elems is not None, "--mesh-elems is not read with --mesh"),
-            (not mesh and args.mesh_elems is None, "--mesh-rect needs --mesh-elems"),
-            (not quad and args.gauss is not None,
-             "--gauss is not read with --method supermesh"),
-            (quad and args.dump_supermesh is not None,
-             "--dump-supermesh is not read with --method quad")):
-        if misuse:
-            parser.error(message)
-    mesh = read_qm1(args.mesh) if mesh else rect_mesh(*args.mesh_rect, *args.mesh_elems)
-    if field:
-        # read here, not in field_source, so that the benchmark tracer, which
-        # patches this module's read_fdf, sees the file read
-        return mesh, read_fdf(args.field)
-    rect = args.grid_rect or (*mesh.nodes.min(axis=0), *mesh.nodes.max(axis=0))
-    return mesh, field_source(args.analytic, rect=rect).sample(args.grid_points)
+    if args.method == "supermesh" and args.gauss is not None:
+        parser.error("--gauss is not read with --method supermesh")
+    if args.method == "quad" and args.dump_supermesh is not None:
+        parser.error("--dump-supermesh is not read with --method quad")
+    # the benchmark tracer patches this module's read_qm1 and read_fdf
+    return read_qm1(args.mesh), read_fdf(args.field)
 
 
 def _cmd_transfer(args, parser):

@@ -298,9 +298,32 @@ def run_quadrature_sweep(cfg: StudyConfig) -> StudyResult:
     return result
 
 
+# (method row, reconstruction, Gauss points per axis or None for supermesh)
 _HREF_METHODS = (("supermesh", "bilinear", None),
                  ("bspline:3", "bspline:3", 3),
                  ("bspline:5", "bspline:5", 4))
+
+
+def _timed_transfers(result, sweep, mesh, fld, methods, repetitions):
+    """Add one row per method for transferring fld onto mesh, with its error
+    against the trapezoidal reference; a supermesh method also adds a
+    ``supermesh/setup`` row, timed once, for building the supermesh."""
+    i_ref = trapezoid_integral(fld)
+    t0 = time.perf_counter()
+    cache = build_supermesh(mesh, fld.grid)
+    setup_t = time.perf_counter() - t0
+    for method, reconstruction, ng in methods:
+        if ng is None:
+            run = lambda: assemble_supermesh(cache, fld, reconstruction)
+        else:
+            interp = make_interpolator(fld, reconstruction)
+            run = lambda: assemble_quadrature(mesh, interp, ng)
+        dt, b = _median_time(run, repetitions)
+        total = float(b.sum())
+        err = abs(total - i_ref) / abs(i_ref)
+        result.add(sweep, method, err, dt, total)
+        if ng is None:
+            result.add(sweep, "supermesh/setup", err, setup_t, total)
 
 
 def run_href_study(cfg: StudyConfig) -> StudyResult:
@@ -315,30 +338,13 @@ def run_href_study(cfg: StudyConfig) -> StudyResult:
     cfg.validate_timing()
     src = field_source(cfg.analytic_k, cfg.surrogate, cfg.field_path, cfg.domain)
     fld = src.sample(cfg.grid_points)
-    grid = fld.grid
-    i_ref = trapezoid_integral(fld)
     result = StudyResult(
         "href",
-        meta={"grid": (grid.nx, grid.ny), "field": src.name,
-              "reference": i_ref})
-    for n in cfg.sweep:
-        n = int(n)
-        mesh = rect_mesh(*src.rect, n, n)
-        t0 = time.perf_counter()
-        cache = build_supermesh(mesh, grid)
-        setup_t = time.perf_counter() - t0
-        for method, reconstruction, ng in _HREF_METHODS:
-            if method == "supermesh":
-                run = lambda: assemble_supermesh(cache, fld, reconstruction)
-            else:
-                interp = make_interpolator(fld, reconstruction)
-                run = lambda: assemble_quadrature(mesh, interp, ng)
-            dt, b = _median_time(run, cfg.repetitions)
-            total = float(b.sum())
-            err = abs(total - i_ref) / abs(i_ref)
-            result.add(n, method, err, dt, total)
-            if method == "supermesh":
-                result.add(n, "supermesh/setup", err, setup_t, total)
+        meta={"grid": (fld.grid.nx, fld.grid.ny), "field": src.name,
+              "reference": trapezoid_integral(fld)})
+    for n in map(int, cfg.sweep):
+        _timed_transfers(result, n, rect_mesh(*src.rect, n, n), fld, _HREF_METHODS,
+                         cfg.repetitions)
     return result
 
 
@@ -357,26 +363,12 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
         meta={"field": src.name,
               "reconstruction": cfg.reconstruction,
               "n_gauss": cfg.n_gauss})
-    for n in cfg.sweep:
-        n = int(n)
-        n_elems = n * n
+    methods = (("supermesh", "bilinear", None),
+               ("quadrature", cfg.reconstruction, cfg.n_gauss))
+    for n in map(int, cfg.sweep):
         gp = max(n + n // 4, 2) + 1
-        fld = src.sample((gp, gp))
-        i_ref = trapezoid_integral(fld)
-        mesh = rect_mesh(*src.rect, n, n)
-        t0 = time.perf_counter()
-        cache = build_supermesh(mesh, fld.grid)
-        setup_t = time.perf_counter() - t0
-        dt, b = _median_time(lambda: assemble_supermesh(cache, fld, "bilinear"),
-                             cfg.repetitions)
-        err = abs(float(b.sum()) - i_ref) / abs(i_ref)
-        result.add(n_elems, "supermesh", err, dt, float(b.sum()))
-        result.add(n_elems, "supermesh/setup", err, setup_t, float(b.sum()))
-        interp = make_interpolator(fld, cfg.reconstruction)
-        dt, b = _median_time(lambda: assemble_quadrature(mesh, interp, cfg.n_gauss),
-                             cfg.repetitions)
-        err = abs(float(b.sum()) - i_ref) / abs(i_ref)
-        result.add(n_elems, "quadrature", err, dt, float(b.sum()))
+        _timed_transfers(result, n * n, rect_mesh(*src.rect, n, n), src.sample((gp, gp)),
+                         methods, cfg.repetitions)
     return result
 
 

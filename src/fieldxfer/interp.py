@@ -84,7 +84,8 @@ class Interpolator:
     def _check_domain(self, points):
         g = self.grid
         x, y = points[:, 0], points[:, 1]
-        bad = (x < g.xs[0]) | (x > g.xs[-1]) | (y < g.ys[0]) | (y > g.ys[-1])
+        # a NaN point is not inside either
+        bad = ~((x >= g.xs[0]) & (x <= g.xs[-1]) & (y >= g.ys[0]) & (y <= g.ys[-1]))
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DomainError(

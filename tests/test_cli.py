@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fieldxfer import harness, read_fdf, read_qm1, read_rhs
+from fieldxfer import (assemble_quadrature, assemble_supermesh, build_supermesh, harness,
+                       make_interpolator, read_fdf, read_qm1, read_rhs)
 from fieldxfer.cli import (COMMON_FLAGS, SOURCE_FLAGS, STUDIES, STUDY_FLAGS,
                            _build_parser, _study_config, main)
 from fieldxfer.harness import StudyResult
@@ -90,12 +91,6 @@ class TestTransfer:
                        if l.startswith("total_integral")][0].split()[1])
         assert total == pytest.approx(1.0 / (6.25 * np.pi ** 2), rel=1e-4)
 
-    def test_analytic_source(self, inputs, tmp_path):
-        _, m = inputs
-        assert run_cli("transfer", "--method", "quad", "--analytic", "2.5pi",
-                       "--grid-points", "61", "61", "--gauss", "3",
-                       "--mesh", str(m), "-o", str(tmp_path / "x.rhs")) == 0
-
     def test_missing_file_exit_2(self, inputs, tmp_path, capsys):
         _, m = inputs
         code = run_cli("transfer", "--method", "quad", "--field", "nope.fdf",
@@ -103,38 +98,54 @@ class TestTransfer:
         assert code == 2
         assert "nope.fdf" in capsys.readouterr().err
 
-    def test_both_field_sources_is_usage_error(self, inputs, tmp_path):
-        f, m = inputs
-        with pytest.raises(SystemExit) as exc:
-            run_cli("transfer", "--method", "quad", "--field", str(f),
-                    "--analytic", "2pi", "--mesh", str(m),
-                    "-o", str(tmp_path / "x.rhs"))
-        assert exc.value.code == 2
-
     @pytest.mark.filterwarnings("ignore:.*outside the grid domain")
     @pytest.mark.parametrize("method, extra, fraction", [
-        ("supermesh", ["--grid-points", "11", "11", "--mesh-rect", "5", "5", "6", "6",
-                       "--mesh-elems", "2", "2"], "0"),
-        ("quad", ["--grid-points", "41", "41", "--mesh-rect", "0", "0", "0.5", "0.5",
-                  "--mesh-elems", "4", "4"], "0.25")])
+        ("supermesh", (["--grid-points", "11", "11"],
+                       ["--mesh-rect", "5", "5", "6", "6", "--mesh-elems", "2", "2"]), "0"),
+        ("quad", (["--grid-points", "41", "41"],
+                  ["--mesh-rect", "0", "0", "0.5", "0.5", "--mesh-elems", "4", "4"]), "0.25")])
     def test_partial_cover_has_no_conservation_error(self, tmp_path, capsys,
                                                      method, extra, fraction):
         # the trapezoid reference integrates the whole grid, so it cannot
         # check a mesh that covers only part of it
-        assert run_cli("transfer", "--method", method, "--analytic", "2pi",
-                       "--grid-rect", "0", "0", "1", "1", *extra,
-                       "-o", str(tmp_path / "x.rhs")) == 0
+        field_args, mesh_args = extra
+        f, m = tmp_path / "f.fdf", tmp_path / "m.qm1"
+        assert run_cli("genfield", "--analytic", "2pi", "--grid-rect", "0", "0", "1", "1",
+                       *field_args, "-o", str(f)) == 0
+        assert run_cli("genmesh", *mesh_args, "-o", str(m)) == 0
+        assert run_cli("transfer", "--method", method, "--field", str(f),
+                       "--mesh", str(m), "-o", str(tmp_path / "x.rhs")) == 0
         line = [l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("conservation_rel_err")][0]
         assert line == (f"conservation_rel_err n/a (the mesh covers {fraction} "
                         f"of the grid area)")
 
+    def test_rhs_equals_library_bitwise(self, inputs, tmp_path):
+        f, m = inputs
+        mesh, field = read_qm1(m), read_fdf(f)
+        for argv, expected in (
+                (["--method", "supermesh"],
+                 assemble_supermesh(build_supermesh(mesh, field.grid), field, "bilinear")),
+                (["--method", "quad", "--interp", "bspline:3"],
+                 assemble_quadrature(mesh, make_interpolator(field, "bspline:3"), 3))):
+            out = tmp_path / "b.rhs"
+            assert run_cli("transfer", *argv, "--field", str(f), "--mesh", str(m),
+                           "-o", str(out)) == 0
+            assert np.array_equal(read_rhs(out).view(np.uint64), expected.view(np.uint64))
+
+    # the generator flags that transfer no longer takes
+    @pytest.mark.parametrize("argv", [
+        ["--analytic", "2pi"], ["--grid-points", "11", "11"],
+        ["--grid-rect", "0", "0", "1", "1"], ["--mesh-rect", "0", "0", "1", "1"],
+        ["--mesh-elems", "3", "3"]], ids=lambda argv: argv[0])
+    def test_removed_flag_is_usage_error(self, inputs, tmp_path, capsys, argv):
+        assert usage_error(*self.transfer_argv(
+            inputs, tmp_path, ["--field", "F", "--mesh", "M", *argv]))
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert not (tmp_path / "x.rhs").exists()
+
     # flags the rest of the command line leaves unread
     UNREAD = [
-        ("--grid-points", ["--field", "F", "--mesh", "M", "--grid-points", "11", "11"]),
-        ("--grid-rect", ["--field", "F", "--mesh", "M",
-                         "--grid-rect", "0", "0", "2", "2"]),
-        ("--mesh-elems", ["--field", "F", "--mesh", "M", "--mesh-elems", "3", "3"]),
         ("--gauss", ["--method", "supermesh", "--field", "F", "--mesh", "M",
                      "--gauss", "2"]),
         ("--dump-supermesh", ["--method", "quad", "--field", "F", "--mesh", "M",
@@ -155,20 +166,9 @@ class TestTransfer:
         assert f"{flag} is not read with" in capsys.readouterr().err
         assert not (tmp_path / "x.rhs").exists()
 
-    @pytest.mark.parametrize("message, argv", [
-        ("--analytic needs --grid-points", ["--analytic", "2pi", "--mesh", "M"]),
-        ("--mesh-rect needs --mesh-elems",
-         ["--field", "F", "--mesh-rect", "0", "0", "1", "1"]),
-    ])
-    def test_missing_companion_is_usage_error(self, inputs, tmp_path, capsys,
-                                              message, argv):
-        assert usage_error(*self.transfer_argv(inputs, tmp_path, argv))
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
-        ["--analytic", "2pi", "--grid-points", "11", "11",
-         "--grid-rect", "0", "0", "1", "1", "--mesh", "M"],
-        ["--field", "F", "--mesh-rect", "0", "0", "1", "1", "--mesh-elems", "3", "3"],
+        ["--field", "F", "--mesh", "M", "--interp", "lagrange:3"],
+        ["--method", "supermesh", "--field", "F", "--mesh", "M", "--interp", "bspline:3"],
         ["--field", "F", "--mesh", "M", "--gauss", "2"],
         ["--method", "supermesh", "--field", "F", "--mesh", "M",
          "--dump-supermesh", "P"],

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -308,6 +310,16 @@ class TestQuadMesh:
     def test_area_sum(self):
         mesh = rect_mesh(-1, 2, 3, 5, 13, 7)
         assert mesh.element_areas().sum() == pytest.approx(12.0, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_areas_match_exact_shoelace_far_from_origin(self, rng, scale):
+        n = 50
+        nodes = np.concatenate([random_convex_quad(rng, scale) + 1e4 for _ in range(n)])
+        mesh = QuadMesh(nodes, np.arange(4 * n).reshape(n, 4))
+        for corners, area in zip(mesh.element_coords(), mesh.element_areas()):
+            x, y = [[Fraction(v) for v in col] for col in corners.T]
+            exact = sum(x[i] * y[i - 3] - x[i - 3] * y[i] for i in range(4)) / 2
+            assert abs(Fraction(area) - exact) <= Fraction(1e-15) * exact
 
     def test_random_quads_positive_area(self, rng):
         for _ in range(20):

@@ -114,6 +114,8 @@ MALFORMED = {
     "qm1-missing-element-row": (read_qm1, QM1.replace("4 1\n", "4 2\n")),
     "qm1-index-out-of-range": (read_qm1, QM1.replace("0 1 2 3", "0 1 2 4")),
     "qm1-clockwise": (read_qm1, QM1.replace("0 1 2 3", "0 3 2 1")),
+    "qm1-nan-node": (read_qm1, QM1.replace("1 1\n", "1 nan\n")),
+    "qm1-inf-node": (read_qm1, QM1.replace("1 1\n", "1 inf\n")),
     "rhs-bad-tag": (read_rhs, RHS.replace("RHS", "LHS")),
     "rhs-two-values-on-a-line": (read_rhs, "RHS 1\n2\n0.5 0.25\n0.125\n"),
     "rhs-fewer-values-than-count": (read_rhs, RHS.replace("2\n", "3\n")),

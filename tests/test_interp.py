@@ -182,6 +182,11 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="point 1"):
             interp.evaluate([[0.5, 0.5], [1.5, 0.5]])
 
+    def test_nan_point_is_out_of_domain(self, rng):
+        f = random_field(rng, random_grid(rng, nx=5, ny=5))
+        with pytest.raises(DomainError, match="point 0 .*nan"):
+            make_interpolator(f, "bilinear").evaluate([[np.nan, 0.5]])
+
     def test_deterministic(self, rng):
         g = random_grid(rng, nx=12, ny=9)
         f = random_field(rng, g)
