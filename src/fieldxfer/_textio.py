@@ -1,6 +1,6 @@
 """The text layout of the FDF, QM1 and RHS files: a tag line such as
 "FDF 1", a line of counts, then blocks of rows of whitespace-separated
-numbers. Floats carry 17 significant digits, so they read back bit-exactly."""
+numbers and nothing after them. Floats, at 17 digits, read back bit-exactly."""
 
 from __future__ import annotations
 
@@ -28,13 +28,14 @@ def write_blocks(path, tag, counts, blocks) -> None:
 def read_blocks(path, tag, layout) -> list:
     """The blocks of a file written by :func:`write_blocks`, as 2-D arrays.
     ``layout`` takes one parameter per count and returns one ``(rows, cols,
-    dtype)`` per block. Malformed content raises :class:`FormatError`."""
+    dtype)`` per block. Malformed content, a tag line that is not exactly
+    ``tag`` and content after the last block raise :class:`FormatError`."""
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         # older numpy reads "3.5" into an int block as 3, with only this warning
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
             header = fh.readline().split()
-            if header[:2] != tag.split():
+            if header != tag.split():
                 raise FormatError(f"{path}: expected {tag!r} header, got {header!r}")
             counts = [int(tok) for tok in fh.readline().split()]
             if len(counts) != len(inspect.signature(layout).parameters):
@@ -49,6 +50,8 @@ def read_blocks(path, tag, layout) -> list:
                     raise ValueError(f"block {len(blocks) + 1} has shape {block.shape}, "
                                      f"expected {(rows, cols)}")
                 blocks.append(block)
+            if fh.read():
+                raise ValueError("content after the last block")
         except ValueError as exc:
             raise FormatError(f"{path}: malformed {tag.split()[0]} content ({exc})") from exc
     return blocks

@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, SingularMapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FieldTransferError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FieldTransferError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,9 @@
 """Quadrilateral FEM mesh, bilinear Q4 isoparametric mapping, its batched
 inversion (closed-form start, Newton polish), and quadrature rules.
 
+det J is affine on the reference square, so element areas, the orientation
+check and quadrature weights all derive from its four corner values.
+
 Reference element is the square [-1, 1]^2 with counter-clockwise corner
 ordering (-1,-1), (1,-1), (1,1), (-1,1).
 """
@@ -87,27 +90,27 @@ class QuadMesh:
                                 coords[:, :, 1].max(axis=1)])
 
     def element_areas(self) -> np.ndarray:
-        """Areas as half the cross product of the diagonals. The corners of
-        an element far from the origin subtract without rounding, so its
-        area keeps full precision there too."""
-        corners = self.element_coords()
-        d02 = corners[:, 2] - corners[:, 0]
-        d13 = corners[:, 3] - corners[:, 1]
-        return 0.5 * (d02[:, 0] * d13[:, 1] - d02[:, 1] * d13[:, 0])
+        """Areas as the sum of the corner determinants: det J is affine on
+        the reference square, and each shape function integrates to 1."""
+        return self._corner_dets().sum(axis=1)
 
-    def _check_orientation(self):
-        # det J at a corner is a quarter of the cross product of the edges
-        # to its two neighbours; taken from the monomial coefficients, it
-        # loses any edge that is small against the largest coordinate
+    def _corner_dets(self) -> np.ndarray:
+        """det J at the four corners of every element, (Ne, 4): a quarter of
+        the cross product of the edges to each corner's two neighbours.
+        Edges are differences of nearby nodes, so the determinants keep
+        full precision wherever the mesh sits."""
         corners = self.element_coords()
         to_next = np.roll(corners, -1, axis=1) - corners
         to_prev = np.roll(corners, 1, axis=1) - corners
-        det = 0.25 * (to_next[..., 0] * to_prev[..., 1] - to_next[..., 1] * to_prev[..., 0])
+        return 0.25 * (to_next[..., 0] * to_prev[..., 1] - to_next[..., 1] * to_prev[..., 0])
+
+    def _check_orientation(self):
+        det = self._corner_dets().min(axis=1)
         if det.size and det.min() <= 0.0:
-            e = int(np.argmax(det.min(axis=1) <= 0.0))
+            e = int(np.argmax(det <= 0.0))
             raise ValueError(
                 f"element {e} is inverted or degenerate "
-                f"(corner det J = {det[e].min():g})")
+                f"(corner det J = {det[e]:g})")
 
     def __repr__(self):
         return f"QuadMesh({self.n_nodes} nodes, {self.n_elements} elements)"
@@ -170,16 +173,10 @@ def forward_map(mesh: QuadMesh, e: int | None, ref_points) -> np.ndarray:
 def jacobian_all(mesh: QuadMesh, ref_points) -> np.ndarray:
     """det J of every element at shared reference points, shape (Ne, nq).
 
-    With the monomial coefficients of :func:`map_coefficients`,
-    det J = (ax1 + ax3 eta)(ay2 + ay3 xi) - (ax2 + ax3 xi)(ay1 + ay3 eta),
-    the determinant the inverse map's Newton step uses.
+    det J is affine in (xi, eta), so the bilinear interpolant of its four
+    corner values reproduces it exactly.
     """
-    corners = mesh.element_coords()
-    coef_x, coef_y = map_coefficients(corners[:, :, 0], corners[:, :, 1])
-    _, ax1, ax2, ax3 = coef_x[:, :, None]       # (Ne, 1) each
-    _, ay1, ay2, ay3 = coef_y[:, :, None]
-    xi, eta = np.asarray(ref_points, dtype=float).reshape(-1, 2).T
-    return (ax1 + ax3 * eta) * (ay2 + ay3 * xi) - (ax2 + ax3 * xi) * (ay1 + ay3 * eta)
+    return mesh._corner_dets() @ shape_functions(ref_points).reshape(-1, 4).T
 
 
 def map_coefficients(corner_x, corner_y):
@@ -195,22 +192,22 @@ def map_coefficients(corner_x, corner_y):
     return np.moveaxis(coef_x, -1, 0), np.moveaxis(coef_y, -1, 0)
 
 
-def inverse_map(mesh: QuadMesh, e: int, points, tol: float = NEWTON_TOL,
+def inverse_map(mesh: QuadMesh, e: int, points,
                 max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
     """Reference coordinates of physical points inside element e.
 
-    See :func:`newton_inverse_batch`: tol bounds the residual inf-norm in
-    units of the element half-size. Raises :class:`ConvergenceError`
-    (with point index and final residual) on failure,
-    :class:`SingularMapError` when det J is negligible against the
-    element size.
+    See :func:`newton_inverse_batch`: NEWTON_TOL bounds the residual
+    inf-norm in units of the element half-size, and max_iter the Newton
+    iterations. Raises :class:`ConvergenceError` (with point index and
+    final residual) on failure, :class:`SingularMapError` when det J is
+    negligible against the element size.
     """
     coords = mesh.element_coords(e)
     coef_x, coef_y = map_coefficients(coords[:, 0], coords[:, 1])
-    return newton_inverse_batch(coef_x, coef_y, points, tol=tol, max_iter=max_iter)
+    return newton_inverse_batch(coef_x, coef_y, points, max_iter=max_iter)
 
 
-def newton_inverse_batch(coef_x, coef_y, points, tol: float = NEWTON_TOL,
+def newton_inverse_batch(coef_x, coef_y, points,
                          max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
     """Vectorized inversion of the bilinear map, one independent element per point.
 
@@ -218,21 +215,21 @@ def newton_inverse_batch(coef_x, coef_y, points, tol: float = NEWTON_TOL,
     (4, n) with one element per point or (4,) for one shared element;
     points: (n, 2) targets. Every point starts from the closed-form root
     of the map (:func:`_closed_form_root`). Where that start misses (its
-    residual is above tol, or it lies outside the reference square), the
-    point starts from the element center (0, 0) instead, so points
-    outside their element take the same path as without the closed
+    residual is above NEWTON_TOL, or it lies outside the reference
+    square), the point starts from the element center (0, 0) instead, so
+    points outside their element take the same path as without the closed
     form. Newton iteration then runs on chunks of _INVERSE_CHUNK points,
     the points of a chunk together, each update solving its own 2x2
     system through the explicit determinant formula. An interior point
     normally passes the residual check in the first iteration and gets
-    one polish step.
+    one polish step; max_iter bounds the iterations.
 
     Both thresholds are in element units, so they do not depend on where
     the mesh sits or on its scale. With the element half-size
     h = max(|ax1|, |ax2|, |ay1|, |ay2|), a point has converged when its
-    residual inf-norm is below tol * h, and the map counts as singular
-    where |det J| <= _SINGULAR_DET * h^2. Residuals are reported in the
-    same units.
+    residual inf-norm is below NEWTON_TOL * h, and the map counts as
+    singular where |det J| <= _SINGULAR_DET * h^2. Residuals are reported
+    in the same units.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
@@ -242,11 +239,11 @@ def newton_inverse_batch(coef_x, coef_y, points, tol: float = NEWTON_TOL,
     for lo in range(0, n, _INVERSE_CHUNK):
         hi = lo + _INVERSE_CHUNK
         ref[lo:hi, 0], ref[lo:hi, 1] = _invert_chunk(
-            coef_x[:, lo:hi], coef_y[:, lo:hi], points[lo:hi], tol, max_iter, lo)
+            coef_x[:, lo:hi], coef_y[:, lo:hi], points[lo:hi], max_iter, lo)
     return ref
 
 
-def _invert_chunk(coef_x, coef_y, points, tol, max_iter, first):
+def _invert_chunk(coef_x, coef_y, points, max_iter, first):
     """(xi, eta) of one chunk of :func:`newton_inverse_batch`; error
     messages count points from ``first``."""
     ax0, ax1, ax2, ax3 = coef_x
@@ -273,7 +270,7 @@ def _invert_chunk(coef_x, coef_y, points, tol, max_iter, first):
     # no real root, a root of the eliminated quadratic only (NaN counts),
     # or a root outside the reference square, where a point outside the
     # element may have a second root: these start from the center
-    miss = ~(residual < tol) | (np.maximum(np.abs(xi), np.abs(eta)) > 1.0 + _START_MARGIN)
+    miss = ~(residual < NEWTON_TOL) | (np.maximum(np.abs(xi), np.abs(eta)) > 1.0 + _START_MARGIN)
     if miss.any():
         xi[miss] = 0.0
         eta[miss] = 0.0
@@ -281,7 +278,7 @@ def _invert_chunk(coef_x, coef_y, points, tol, max_iter, first):
 
     # fx, fy and residual always belong to the current iterate
     for _ in range(max_iter):
-        done = residual.max() < tol
+        done = residual.max() < NEWTON_TOL
         j11 = ax1 + ax3 * eta
         j12 = ax2 + ax3 * xi
         j21 = ay1 + ay3 * eta
@@ -294,13 +291,13 @@ def _invert_chunk(coef_x, coef_y, points, tol, max_iter, first):
                 f"singular mapping Jacobian at point {k} "
                 f"(|det J| <= {_SINGULAR_DET:g} h^2, h the element half-size)")
         # the update doubles as a polish step once the residual gate is
-        # passed, so returned coordinates are quadratically sharper than tol
+        # passed, so returned coordinates are quadratically sharper than that
         xi -= (j22 * fx - j12 * fy) / det
         eta -= (j11 * fy - j21 * fx) / det
         if done:
             return xi, eta
         fx, fy = _residual()
-    if residual.max() < tol:
+    if residual.max() < NEWTON_TOL:
         return xi, eta
     k = int(np.argmax(residual))
     raise ConvergenceError(

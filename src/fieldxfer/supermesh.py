@@ -72,10 +72,6 @@ class SupermeshCache:
         np.add.at(out, self.poly_element, self.poly_areas)
         return out
 
-    def polygon_vertices(self, k) -> np.ndarray:
-        lo, hi = self.poly_offsets[k], self.poly_offsets[k + 1]
-        return self.poly_verts[lo:hi]
-
     def dump_polygons(self, path) -> None:
         """Debug polygon soup: one line per polygon, ``e i j x0 y0 x1 y1 ...``,
         in polygon order. Each run of _DUMP_CHUNK polygons is formatted

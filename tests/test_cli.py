@@ -91,12 +91,19 @@ class TestTransfer:
                        if l.startswith("total_integral")][0].split()[1])
         assert total == pytest.approx(1.0 / (6.25 * np.pi ** 2), rel=1e-4)
 
-    def test_missing_file_exit_2(self, inputs, tmp_path, capsys):
+    # every OS error is an I/O error: a missing file, or a path under a file
+    @pytest.mark.parametrize("field, out, bad", [
+        ("nope.fdf", "x.rhs", "nope.fdf"),
+        ("f.fdf/x", "x.rhs", "f.fdf/x"),
+        ("f.fdf", "f.fdf/o.rhs", "f.fdf/o.rhs"),
+    ], ids=["missing", "field-under-file", "output-under-file"])
+    def test_missing_file_exit_2(self, inputs, tmp_path, capsys, field, out, bad):
         _, m = inputs
-        code = run_cli("transfer", "--method", "quad", "--field", "nope.fdf",
-                       "--mesh", str(m), "-o", str(tmp_path / "x.rhs"))
+        code = run_cli("transfer", "--method", "quad", "--field", str(tmp_path / field),
+                       "--mesh", str(m), "-o", str(tmp_path / out))
         assert code == 2
-        assert "nope.fdf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
 
     @pytest.mark.filterwarnings("ignore:.*outside the grid domain")
     @pytest.mark.parametrize("method, extra, fraction", [

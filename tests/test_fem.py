@@ -88,6 +88,25 @@ class TestGeometryMap:
         expected = d_xi[..., 0] * d_eta[..., 1] - d_eta[..., 0] * d_xi[..., 1]
         assert np.allclose(jacobian_all(mesh, pts), expected, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_jacobian_exact_far_from_origin(self, rng, scale):
+        # the corner-sign derivative formula, in exact arithmetic, as a reference
+        n = 50
+        nodes = np.concatenate([random_convex_quad(rng, scale) + 1e4 for _ in range(n)])
+        mesh = QuadMesh(nodes, np.arange(4 * n).reshape(n, 4))
+        pts = rng.uniform(-1, 1, (4, 2))
+        signs = list(zip([-1, 1, 1, -1], [-1, -1, 1, 1]))
+        for corners, dets in zip(mesh.element_coords(), jacobian_all(mesh, pts)):
+            x, y = [[Fraction(v) for v in col] for col in corners.T]
+            for (xi, eta), det in zip(pts, dets):
+                xi, eta = Fraction(xi), Fraction(eta)
+                d_xi = [sum(s * (1 + t * eta) * c for (s, t), c in zip(signs, cs)) / 4
+                        for cs in (x, y)]
+                d_eta = [sum(t * (1 + s * xi) * c for (s, t), c in zip(signs, cs)) / 4
+                         for cs in (x, y)]
+                exact = d_xi[0] * d_eta[1] - d_eta[0] * d_xi[1]
+                assert abs(Fraction(det) - exact) <= Fraction(1e-15) * exact
+
 
 class TestInverseMap:
     def test_unit_square_rescaling(self):

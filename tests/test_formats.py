@@ -107,6 +107,7 @@ MALFORMED = {
     "fdf-cut-after-x": (read_fdf, "FDF 1\n3 2\n0 0.5 1\n"),
     "fdf-empty": (read_fdf, ""),
     "fdf-hash-token": (read_fdf, FDF.replace("4 5 6", "4 5 6 # note")),
+    "fdf-extra-row": (read_fdf, FDF + "7 8 9\n"),
     "qm1-bad-tag": (read_qm1, QM1.replace("QM 1", "QX 1")),
     "qm1-node-row-3-values": (read_qm1, QM1.replace("1 1\n", "1 1 0\n")),
     "qm1-element-row-3-indices": (read_qm1, QM1.replace("0 1 2 3", "0 1 2")),
@@ -116,9 +117,12 @@ MALFORMED = {
     "qm1-clockwise": (read_qm1, QM1.replace("0 1 2 3", "0 3 2 1")),
     "qm1-nan-node": (read_qm1, QM1.replace("1 1\n", "1 nan\n")),
     "qm1-inf-node": (read_qm1, QM1.replace("1 1\n", "1 inf\n")),
+    "qm1-extra-element-row": (read_qm1, QM1 + "0 1 2 3\n"),
     "rhs-bad-tag": (read_rhs, RHS.replace("RHS", "LHS")),
     "rhs-two-values-on-a-line": (read_rhs, "RHS 1\n2\n0.5 0.25\n0.125\n"),
     "rhs-fewer-values-than-count": (read_rhs, RHS.replace("2\n", "3\n")),
+    "rhs-more-values-than-count": (read_rhs, "RHS 1\n2\n1\n2\n3\n"),
+    "rhs-tag-extra-token": (read_rhs, RHS.replace("RHS 1", "RHS 1 extra")),
     "rhs-x-value": (read_rhs, RHS.replace("0.25", "x")),
     "rhs-x-count": (read_rhs, RHS.replace("2\n", "x\n")),
 }

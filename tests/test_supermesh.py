@@ -343,7 +343,7 @@ class TestBuildSupermesh:
         assert len(lines) == cache.n_polygons
         for k, line in enumerate(lines):
             # the per-polygon formatting as the reference text
-            verts = cache.polygon_vertices(k)
+            verts = cache.poly_verts[cache.poly_offsets[k]:cache.poly_offsets[k + 1]]
             assert line == " ".join([str(cache.poly_element[k]), *map(str, cache.poly_cell[k]),
                                      *(f"{v:.17g}" for v in verts.ravel())])
             tokens = line.split()
