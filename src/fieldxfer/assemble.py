@@ -2,8 +2,9 @@
 
 The pipeline is staged: tensor Gauss points are generated for all elements
 at once, the field is reconstructed at every point in a single batched
-call, and the weighted shape-function contributions are accumulated into
-the global vector. Assembly is bitwise reproducible.
+call, and each element's weighted shape-function sums (one (Ne, 4) array)
+are scattered into the global vector, as in the supermesh method.
+Assembly is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _assemble(mesh, evaluate, n_gauss):
     except DomainError as exc:
         raise DomainError(f"mesh quadrature point outside grid domain: {exc}") from exc
     contrib = rule.weights[None, :] * f * det     # (Ne, nq)
-    return accumulate(mesh.elements, contrib @ N, mesh.n_nodes)
+    return accumulate(mesh, contrib @ N)
 
 
 # --- RHS text format: one value per row

@@ -1,5 +1,11 @@
 """Quadrilateral FEM mesh, bilinear Q4 isoparametric mapping, its batched
-inversion (closed-form start, Newton polish), and quadrature rules.
+inversion (closed-form start, Newton polish), the element-vector scatter
+into the load vector, and quadrature rules.
+
+Per-element data stays per element: the inverse map takes each point's
+element index and gathers that element's map coefficients itself, and
+both assembly methods hand :func:`accumulate` one (Ne, 4) vector per
+element.
 
 det J is affine on the reference square, so element areas, the orientation
 check and quadrature weights all derive from its four corner values.
@@ -11,6 +17,7 @@ ordering (-1,-1), (1,-1), (1,1), (-1,1).
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ._textio import read_blocks, write_blocks
 from .errors import ConvergenceError, FormatError, SingularMapError
@@ -179,75 +186,68 @@ def jacobian_all(mesh: QuadMesh, ref_points) -> np.ndarray:
     return mesh._corner_dets() @ shape_functions(ref_points).reshape(-1, 4).T
 
 
-def map_coefficients(corner_x, corner_y):
-    """Monomial coefficients of the bilinear map X = a0 + a1 xi + a2 eta + a3 xi eta.
-
-    corner_x, corner_y: (..., 4) corner coordinates of one or more
-    elements. Returns (coef_x, coef_y), each of shape (4, ...) with the
-    monomial index first, so that coef_x[:, idx] gathers one element per
-    point as contiguous rows.
-    """
-    coef_x = np.asarray(corner_x, dtype=float) @ _MONOMIALS.T
-    coef_y = np.asarray(corner_y, dtype=float) @ _MONOMIALS.T
-    return np.moveaxis(coef_x, -1, 0), np.moveaxis(coef_y, -1, 0)
+def _map_coefficients(mesh: QuadMesh):
+    """Monomial coefficients of every element's bilinear map
+    X = a0 + a1 xi + a2 eta + a3 xi eta, (Ne, 4) per axis."""
+    corners = mesh.element_coords()
+    return corners[:, :, 0] @ _MONOMIALS.T, corners[:, :, 1] @ _MONOMIALS.T
 
 
 def inverse_map(mesh: QuadMesh, e: int, points,
                 max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
     """Reference coordinates of physical points inside element e.
 
-    See :func:`newton_inverse_batch`: NEWTON_TOL bounds the residual
-    inf-norm in units of the element half-size, and max_iter the Newton
-    iterations. Raises :class:`ConvergenceError` (with point index and
-    final residual) on failure, :class:`SingularMapError` when det J is
-    negligible against the element size.
+    :func:`newton_inverse_batch` with every point in element e; raises
+    as it does.
     """
-    coords = mesh.element_coords(e)
-    coef_x, coef_y = map_coefficients(coords[:, 0], coords[:, 1])
-    return newton_inverse_batch(coef_x, coef_y, points, max_iter=max_iter)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    return newton_inverse_batch(mesh, np.full(len(points), e), points, max_iter=max_iter)
 
 
-def newton_inverse_batch(coef_x, coef_y, points,
+def newton_inverse_batch(mesh: QuadMesh, element, points,
                          max_iter: int = NEWTON_MAX_ITER) -> np.ndarray:
-    """Vectorized inversion of the bilinear map, one independent element per point.
+    """Vectorized inversion of the bilinear maps: point k in element[k].
 
-    coef_x, coef_y: monomial coefficients from :func:`map_coefficients`,
-    (4, n) with one element per point or (4,) for one shared element;
-    points: (n, 2) targets. Every point starts from the closed-form root
-    of the map (:func:`_closed_form_root`). Where that start misses (its
-    residual is above NEWTON_TOL, or it lies outside the reference
-    square), the point starts from the element center (0, 0) instead, so
-    points outside their element take the same path as without the closed
-    form. Newton iteration then runs on chunks of _INVERSE_CHUNK points,
-    the points of a chunk together, each update solving its own 2x2
-    system through the explicit determinant formula. An interior point
-    normally passes the residual check in the first iteration and gets
-    one polish step; max_iter bounds the iterations.
+    element: (n,) element index of each point; points: (n, 2) targets.
+    The monomial coefficients of the element maps are folded once per
+    element, and each chunk of _INVERSE_CHUNK points gathers those of its
+    own elements. Every point starts from the closed-form root of its map
+    (:func:`_closed_form_root`). Where that start misses (its residual is
+    above NEWTON_TOL, or it lies outside the reference square), the point
+    starts from the element center (0, 0) instead, so points outside
+    their element take the same path as without the closed form. Newton
+    iteration then runs on the points of a chunk together, each update
+    solving its own 2x2 system through the explicit determinant formula.
+    An interior point normally passes the residual check in the first
+    iteration and gets one polish step; max_iter bounds the iterations.
 
     Both thresholds are in element units, so they do not depend on where
     the mesh sits or on its scale. With the element half-size
     h = max(|ax1|, |ax2|, |ay1|, |ay2|), a point has converged when its
     residual inf-norm is below NEWTON_TOL * h, and the map counts as
     singular where |det J| <= _SINGULAR_DET * h^2. Residuals are reported
-    in the same units.
+    in the same units. Raises :class:`ConvergenceError` (with the point's
+    index, its element, its position and the final residual) on failure,
+    :class:`SingularMapError` (naming the point and its element) when
+    det J is negligible against the element size.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    coef_x = np.broadcast_to(np.asarray(coef_x, dtype=float).reshape(4, -1), (4, n))
-    coef_y = np.broadcast_to(np.asarray(coef_y, dtype=float).reshape(4, -1), (4, n))
-    ref = np.empty((n, 2))
-    for lo in range(0, n, _INVERSE_CHUNK):
+    element = np.asarray(element)
+    coef_x, coef_y = _map_coefficients(mesh)
+    ref = np.empty((len(points), 2))
+    for lo in range(0, len(points), _INVERSE_CHUNK):
         hi = lo + _INVERSE_CHUNK
         ref[lo:hi, 0], ref[lo:hi, 1] = _invert_chunk(
-            coef_x[:, lo:hi], coef_y[:, lo:hi], points[lo:hi], max_iter, lo)
+            coef_x, coef_y, element[lo:hi], points[lo:hi], max_iter, lo)
     return ref
 
 
-def _invert_chunk(coef_x, coef_y, points, max_iter, first):
-    """(xi, eta) of one chunk of :func:`newton_inverse_batch`; error
-    messages count points from ``first``."""
-    ax0, ax1, ax2, ax3 = coef_x
-    ay0, ay1, ay2, ay3 = coef_y
+def _invert_chunk(coef_x, coef_y, element, points, max_iter, first):
+    """(xi, eta) of one chunk of :func:`newton_inverse_batch`: coef_x and
+    coef_y hold every element's coefficients, element those of the chunk's
+    points; error messages count points from ``first``."""
+    ax0, ax1, ax2, ax3 = coef_x[element].T
+    ay0, ay1, ay2, ay3 = coef_y[element].T
     ax0 = ax0 - points[:, 0]
     ay0 = ay0 - points[:, 1]
     h = np.maximum(np.maximum(np.abs(ax1), np.abs(ax2)),
@@ -286,9 +286,9 @@ def _invert_chunk(coef_x, coef_y, points, max_iter, first):
         det = j11 * j22 - j12 * j21
         small = np.abs(det) <= det_floor
         if np.any(small):
-            k = first + int(np.argmax(small))
+            k = int(np.argmax(small))
             raise SingularMapError(
-                f"singular mapping Jacobian at point {k} "
+                f"singular mapping Jacobian at point {first + k} {_where(element, points, k)} "
                 f"(|det J| <= {_SINGULAR_DET:g} h^2, h the element half-size)")
         # the update doubles as a polish step once the residual gate is
         # passed, so returned coordinates are quadratically sharper than that
@@ -301,9 +301,13 @@ def _invert_chunk(coef_x, coef_y, points, max_iter, first):
         return xi, eta
     k = int(np.argmax(residual))
     raise ConvergenceError(
-        f"inverse mapping did not converge for point {first + k} "
+        f"inverse mapping did not converge for point {first + k} {_where(element, points, k)} "
         f"(residual {residual[k]:.3e} element units after {max_iter} iterations)",
         point_index=first + k, residual=float(residual[k]))
+
+
+def _where(element, points, k):
+    return f"in element {int(element[k])} at {tuple(points[k].tolist())}"
 
 
 def _closed_form_root(ax0, ax1, ax2, ax3, ay0, ay1, ay2, ay3):
@@ -337,13 +341,15 @@ def _closed_form_root(ax0, ax1, ax2, ax3, ay0, ay1, ay2, ay3):
 # --- load vector ------------------------------------------------------------
 
 
-def accumulate(nodes, values, n_nodes: int) -> np.ndarray:
-    """Global load vector: sum each value into its node.
+def accumulate(mesh: QuadMesh, element_vectors) -> np.ndarray:
+    """Global load vector: scatter each element's vector onto its nodes.
 
-    nodes and values have the same shape (any); the result is a float64
-    vector of length n_nodes, zero where no value lands.
+    element_vectors: (Ne, 4), entry k of row e belonging to node
+    mesh.elements[e, k]. Both assembly methods end here. The result is a
+    float64 vector of length mesh.n_nodes, zero where no element adds.
     """
-    b = np.bincount(nodes.ravel(), weights=values.ravel(), minlength=n_nodes)
+    b = np.bincount(mesh.elements.ravel(), weights=np.ravel(element_vectors),
+                    minlength=mesh.n_nodes)
     # bincount returns int64 when the weights are empty
     return b.astype(np.float64, copy=False)
 
@@ -363,37 +369,11 @@ class QuadratureRule:
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n-1.
-
-    Nodes are computed at runtime by Newton iteration on the three-term
-    Legendre recurrence, started from the Chebyshev-angle approximation of
-    the roots; this supports arbitrary order without stored tables.
-    """
+    """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n-1
+    (numpy's ``leggauss``), for n in 1..30."""
     if not 1 <= n <= 30:
         raise ValueError(f"Gauss order must be in 1..30, got {n}")
-    k = np.arange(n)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
-    for _ in range(100):
-        p1, dp = _legendre(n, x)
-        dx = p1 / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadratureRule(x[::-1].copy(), w[::-1].copy())
-
-
-def _legendre(n, x):
-    """Legendre polynomial P_n and its derivative at x (recurrence)."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
+    return QuadratureRule(*leggauss(n))
 
 
 def tensor_product_rule(n: int) -> QuadratureRule:

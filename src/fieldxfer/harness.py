@@ -31,6 +31,9 @@ UNIT_DOMAIN = (0.0, 0.0, 1.0, 1.0)
 # comparative-study domain (width 130 x 30, grid spacing 1 in both axes)
 COMPARATIVE_DOMAIN = (20.0, -15.0, 150.0, 15.0)
 ERROR_FLOOR = 1e-12
+# Gauss points per axis: the evaluation points of interp-convergence and
+# the quadrature rule that weak-scaling times
+N_GAUSS = 3
 
 
 def sine_product(k: float):
@@ -116,7 +119,6 @@ class StudyConfig:
     grid_points: tuple = (201, 201)
     sweep: tuple = ()
     orders: tuple = (1, 2, 3, 4, 5)
-    n_gauss: int = 3
     reconstruction: str = "lagrange:3"
     repetitions: int = 5
 
@@ -244,14 +246,14 @@ def run_interp_convergence(cfg: StudyConfig) -> StudyResult:
     src = field_source(cfg.analytic_k, rect=cfg.domain)
     x0, y0, x1, y1 = src.rect
     mesh = rect_mesh(x0, y0, x1, y1, *cfg.mesh_elems)
-    rule = tensor_product_rule(cfg.n_gauss)
+    rule = tensor_product_rule(N_GAUSS)
     pts = forward_map(mesh, None, rule.points).reshape(-1, 2)
     f_exact = src.func(pts[:, 0], pts[:, 1])
     norm = float(np.linalg.norm(f_exact))
     result = StudyResult(
         "interp-convergence",
         meta={"k": cfg.analytic_k, "mesh": cfg.mesh_elems,
-              "n_gauss": cfg.n_gauss})
+              "n_gauss": N_GAUSS})
     for h in cfg.sweep:
         n = int(round((x1 - x0) / h)) + 1
         fld = src.sample((n, n))
@@ -362,9 +364,9 @@ def run_weak_scaling(cfg: StudyConfig) -> StudyResult:
         "weak-scaling",
         meta={"field": src.name,
               "reconstruction": cfg.reconstruction,
-              "n_gauss": cfg.n_gauss})
+              "n_gauss": N_GAUSS})
     methods = (("supermesh", "bilinear", None),
-               ("quadrature", cfg.reconstruction, cfg.n_gauss))
+               ("quadrature", cfg.reconstruction, N_GAUSS))
     for n in map(int, cfg.sweep):
         gp = max(n + n // 4, 2) + 1
         _timed_transfers(result, n * n, rect_mesh(*src.rect, n, n), src.sample((gp, gp)),
@@ -381,7 +383,9 @@ def emit_table1(results: dict) -> str:
     Expects any of the keys ``href`` (conservation + error floor; may be a
     list with one result per source field) and ``weak_scaling`` (runtime
     slopes). Raises on empty input; single-study input yields a partial
-    table.
+    table. The supermesh cells say "machine precision", "exact" or
+    "conserved" only when its largest error is below ERROR_FLOOR, and give
+    the number alone otherwise.
     """
     if not results or not any(v for v in results.values()):
         raise ValueError("no study results to summarize")
@@ -399,22 +403,28 @@ def emit_table1(results: dict) -> str:
 
     sm_errs = collect(lambda m: m == "supermesh")
     bs_errs = collect(lambda m: m.startswith("bspline"))
+    if sm_errs is None:
+        sm_cell = sm_h = sm_sources = "n/a"
+    elif sm_errs.max() < ERROR_FLOOR:
+        sm_cell = f"machine precision (max {sm_errs.max():.2e})"
+        sm_h = "exact at all scales"
+        sm_sources = "conserved for all sources"
+    else:
+        # above the conservation bound the words would claim too much
+        sm_cell = sm_h = sm_sources = f"{sm_errs.max():.2e}"
     if sm_errs is not None or bs_errs is not None:
-        sm_cell = (f"machine precision (max {sm_errs.max():.2e})"
-                   if sm_errs is not None else "n/a")
         bs_cell = (f"interpolation limited (min {bs_errs.min():.2e})"
                    if bs_errs is not None else "n/a")
         lines.append(f"| conservation error | {sm_cell} | {bs_cell} |")
         floor_cell = (f"systematic error floor (~{bs_errs.min():.2e})"
                       if bs_errs is not None else "n/a")
-        sm_h = "exact at all scales" if sm_errs is not None else "n/a"
         lines.append(f"| target h-refinement | {sm_h} | {floor_cell} |")
     if len(hrefs) >= 2 and bs_errs is not None:
         floors = [min(r.series(m)[1].min() for m in r.methods()
                       if m.startswith("bspline")) for r in hrefs[:2]]
         fields = [r.meta.get("field", "?") for r in hrefs[:2]]
-        order = "<" if floors[0] < floors[1] else ">"
-        lines.append(f"| source robustness | conserved for all sources | "
+        order = "<" if floors[0] < floors[1] else ">" if floors[0] > floors[1] else "="
+        lines.append(f"| source robustness | {sm_sources} | "
                      f"{fields[0]} {order} {fields[1]} "
                      f"({floors[0]:.2e} vs {floors[1]:.2e}) |")
     ws = results.get("weak_scaling")

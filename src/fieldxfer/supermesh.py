@@ -5,12 +5,14 @@ candidate grid cells, each intersection polygon is fan-tessellated around
 its vertex centroid, triangle Gauss points are seeded in physical space,
 and the shape-function values at every Gauss point are precomputed from
 its element-reference coordinates. Those come from one batched inversion
-of the element maps: the map coefficients are folded once per element,
-each point starts from the closed-form root of its map, and one Newton
-step polishes it.
+that takes each point's element index (:func:`fem.newton_inverse_batch`):
+each point starts from the closed-form root of its element's map, and one
+Newton step polishes it.
 
 Execution phase (once per field/timestep): reconstruct the field at the
-cached Gauss points and accumulate b_k = sum |T_m| w_q N_k(xi_q) f(x_q).
+cached Gauss points, sum |T_m| w_q N_k(xi_q) f(x_q) over each element's
+run of points into one (Ne, 4) array of element vectors, and scatter
+those into b_k with :func:`fem.accumulate`, as quadrature assembly does.
 Integration happens directly in physical space, so no mapping Jacobian
 enters the sum and the total integral of the (piecewise-bilinear)
 reconstruction is preserved exactly.
@@ -23,11 +25,9 @@ import warnings
 import numpy as np
 
 from . import _kernels
-from .errors import ConvergenceError
-from .fem import (QuadMesh, accumulate, map_coefficients, newton_inverse_batch,
-                  shape_functions, triangle_rule)
+from .fem import QuadMesh, accumulate, newton_inverse_batch, shape_functions, triangle_rule
 from .grid import ScalarField, StructuredGrid
-from .interp import Interpolator, make_interpolator
+from .interp import make_interpolator
 
 # polygons per formatting run of SupermeshCache.dump_polygons
 _DUMP_CHUNK = 8192
@@ -114,20 +114,8 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
     element_gauss_offsets = np.concatenate(
         [[0], np.cumsum(np.bincount(gauss_element, minlength=mesh.n_elements))])
 
-    # one global inversion batch: each Gauss point inverts its own element
-    # map, from coefficients folded once per element
-    corners = mesh.element_coords()
-    coef_x, coef_y = map_coefficients(corners[:, :, 0], corners[:, :, 1])
-    try:
-        gauss_ref = newton_inverse_batch(coef_x[:, gauss_element],
-                                         coef_y[:, gauss_element], gauss_xy)
-    except ConvergenceError as exc:
-        k = exc.point_index or 0
-        raise ConvergenceError(
-            f"supermesh setup: inverse mapping failed in element "
-            f"{int(gauss_element[k])} at point {tuple(gauss_xy[k])} "
-            f"(residual {exc.residual} in element units)",
-            point_index=k, residual=exc.residual) from exc
+    # one global inversion batch: each Gauss point inverts its own element's map
+    gauss_ref = newton_inverse_batch(mesh, gauss_element, gauss_xy)
     gauss_shape = shape_functions(gauss_ref)
 
     return SupermeshCache(mesh, grid, poly_element, poly_cell, poly_offsets,
@@ -138,21 +126,22 @@ def build_supermesh(mesh: QuadMesh, grid: StructuredGrid) -> SupermeshCache:
 def assemble_supermesh(cache: SupermeshCache, field: ScalarField,
                        reconstruction="bilinear") -> np.ndarray:
     """Execution phase: evaluate the reconstruction at the cached Gauss
-    points and accumulate the load vector.
+    points, sum each element's weighted shape values and scatter the
+    element vectors into the load vector.
 
     reconstruction is a spec string (``"bilinear"``, ``"bspline:P"``,
-    ``"lagrange:P"``) or a prebuilt :class:`Interpolator`. The field must
-    live on the cache's grid.
+    ``"lagrange:P"``). The field must live on the cache's grid.
     """
     if field.grid is not cache.grid and (
             not np.array_equal(field.grid.xs, cache.grid.xs)
             or not np.array_equal(field.grid.ys, cache.grid.ys)):
         raise ValueError("field grid does not match the supermesh cache grid")
-    if isinstance(reconstruction, Interpolator):
-        interp = reconstruction
-    else:
-        interp = make_interpolator(field, reconstruction)
-    f = interp.evaluate(cache.gauss_xy)
-    return accumulate(cache.mesh.elements[cache.gauss_element],
-                      cache.gauss_shape * (cache.gauss_w * f)[:, None],
-                      cache.mesh.n_nodes)
+    f = make_interpolator(field, reconstruction).evaluate(cache.gauss_xy)
+    # Gauss points run element by element; elements without any (outside
+    # the grid) have empty rows and keep a zero vector
+    offsets = cache.element_gauss_offsets
+    filled = np.flatnonzero(np.diff(offsets))
+    element_vectors = np.zeros((cache.mesh.n_elements, 4))
+    element_vectors[filled] = np.add.reduceat(
+        cache.gauss_shape * (cache.gauss_w * f)[:, None], offsets[filled], axis=0)
+    return accumulate(cache.mesh, element_vectors)

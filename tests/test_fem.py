@@ -10,7 +10,8 @@ from fieldxfer import (ConvergenceError, FormatError, QuadMesh,
                        SingularMapError, forward_map, gauss_legendre,
                        inverse_map, read_qm1, rect_mesh, shape_functions,
                        tensor_product_rule, triangle_rule, write_qm1)
-from fieldxfer.fem import jacobian_all, map_coefficients, newton_inverse_batch
+from fieldxfer import fem
+from fieldxfer.fem import jacobian_all, newton_inverse_batch
 from conftest import random_convex_quad
 
 # single elements, four CCW corners each
@@ -151,12 +152,20 @@ class TestInverseMap:
             inverse_map(mesh, 0, [[8.0 * scale, 8.0 * scale]], max_iter=1)
         assert info.value.residual == pytest.approx(70 / 9, rel=1e-9)
 
-    def test_singular_map(self):
-        # collapsed element: all corners on one segment
-        cx = np.array([[0.0, 1.0, 2.0, 3.0]])
-        cy = np.array([[0.0, 1.0, 2.0, 3.0]])
-        with pytest.raises(SingularMapError):
-            newton_inverse_batch(*map_coefficients(cx, cy), np.array([[0.3, 0.7]]))
+    def test_nonconvergence_names_element(self, monkeypatch):
+        # element 1 is the trapezoid above, next to a unit square; the far
+        # point (3, 3) fails in element 1 as the third point of the batch,
+        # the first of the second chunk
+        monkeypatch.setattr(fem, "_INVERSE_CHUNK", 2)
+        mesh = QuadMesh([[-1, 0], [0, 0], [2, 0], [1, 1], [0, 1], [-1, 1]],
+                        [[0, 1, 4, 5], [1, 2, 3, 4]])
+        centers = forward_map(mesh, None, [0.0, 0.0])
+        with pytest.raises(ConvergenceError,
+                           match=r"point 2 in element 1 at \(3\.0, 3\.0\)") as info:
+            newton_inverse_batch(mesh, [0, 1, 1], [centers[0], centers[1], [3.0, 3.0]],
+                                 max_iter=1)
+        assert info.value.point_index == 2
+        assert info.value.residual > 0
 
 
 def _convex(corners, margin=0.05):

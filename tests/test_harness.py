@@ -209,6 +209,21 @@ class TestTable1:
         assert "machine precision" in table
         assert "n/a" in table
 
+    def test_claims_follow_the_numbers(self):
+        # supermesh errors above ERROR_FLOOR are printed as numbers, without
+        # the words for machine precision; equal floors print "="
+        hrefs = []
+        for field, e in (("smooth", 1e-3), ("oscillatory", 2e-3)):
+            href = StudyResult("href", meta={"field": field})
+            href.add(10, "supermesh", e, 0.01, 1.0)
+            href.add(10, "bspline:3", 1e-4, 0.02, 1.0)
+            hrefs.append(href)
+        table = emit_table1({"href": hrefs})
+        for words in ("machine precision", "exact", "conserved"):
+            assert words not in table
+        assert "| conservation error | 2.00e-03 |" in table
+        assert "smooth = oscillatory" in table
+
 
 def test_sine_product_integral_value():
     assert sine_product_integral(4.5 * math.pi) == pytest.approx(

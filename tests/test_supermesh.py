@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fieldxfer import (ConvergenceError, QuadMesh, ScalarField, StructuredGrid,
+from fieldxfer import (QuadMesh, ScalarField, StructuredGrid,
                        assemble_quadrature, assemble_supermesh, build_supermesh,
                        lagrange_interpolator, rect_mesh, sample_field, supermesh,
                        trapezoid_integral, triangle_rule)
@@ -317,19 +317,6 @@ class TestBuildSupermesh:
         assert b.dtype == np.float64
         assert np.array_equal(b, np.zeros(mesh.n_nodes))
 
-    def test_newton_failure_names_element(self, monkeypatch):
-        grid = StructuredGrid([0.0, 0.5, 1.0], [0.0, 1.0])
-        mesh = rect_mesh(0, 0, 1, 1, 2, 1)
-
-        def fail(corner_x, corner_y, points):
-            raise ConvergenceError("no convergence", point_index=len(points) - 1,
-                                   residual=1.0)
-
-        monkeypatch.setattr(supermesh, "newton_inverse_batch", fail)
-        with pytest.raises(ConvergenceError, match="element 1 at point") as info:
-            build_supermesh(mesh, grid)
-        assert info.value.point_index == 2 * 4 * 6 - 1
-
     def test_dump_polygons(self, rng, tmp_path, monkeypatch):
         # each line reads back bitwise to its polygon, in polygon order;
         # short formatting runs split the vertex-count groups between runs
@@ -422,15 +409,30 @@ class TestAssembleSupermesh:
         # close to the analytic integral (reconstruction error only)
         assert total == pytest.approx(1.0 / (6.25 * np.pi ** 2), rel=1e-3)
 
-    def test_prebuilt_interpolator_accepted(self, rng):
-        grid = random_grid(rng, nx=8, ny=8)
+    @pytest.mark.parametrize("mesh", [rect_mesh(-0.5, 0, 1.5, 1, 16, 8),
+                                      rect_mesh(0, 0, 2, 1, 12, 6)],
+                             ids=["overhang-both-sides", "overhang-right"])
+    def test_mesh_overhanging_the_grid(self, rng, mesh):
+        # elements outside the unit square have no Gauss points: the last
+        # element (and, overhanging both sides, the first) and runs between
+        # the inside elements of consecutive rows
+        grid = random_grid(rng, nx=13, ny=9)
         f = random_field(rng, grid)
-        mesh = rect_mesh(0.1, 0.1, 0.9, 0.9, 3, 3)
-        cache = build_supermesh(mesh, grid)
-        interp = lagrange_interpolator(f, 1)
-        a = assemble_supermesh(cache, f, interp)
+        with pytest.warns(UserWarning, match="outside"):
+            cache = build_supermesh(mesh, grid)
         b = assemble_supermesh(cache, f, "bilinear")
-        assert np.array_equal(a, b)
+        # oracle: scatter every Gauss point's weighted shape values by its nodes
+        values = lagrange_interpolator(f, 1).evaluate(cache.gauss_xy)
+        oracle = np.zeros(mesh.n_nodes)
+        np.add.at(oracle, mesh.elements[cache.gauss_element],
+                  cache.gauss_shape * (cache.gauss_w * values)[:, None])
+        assert np.max(np.abs(b - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        inside_nodes = np.zeros(mesh.n_nodes, dtype=bool)
+        inside_nodes[mesh.elements[np.unique(cache.gauss_element)]] = True
+        assert not inside_nodes.all()
+        assert np.all(b[~inside_nodes] == 0.0)
+        i_trap = trapezoid_integral(f)
+        assert abs(b.sum() - i_trap) <= 1e-12 * abs(i_trap)
 
     def test_rejects_foreign_grid(self, rng):
         grid = StructuredGrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
