@@ -174,7 +174,8 @@ def _compact(keep, arrays):
     """
     n = keep.sum(axis=1)
     rows, _ = np.nonzero(keep)
-    cols = (np.cumsum(keep, axis=1) - 1)[keep]
+    # each kept entry's column is its rank within its row
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(n) - n, n)
     # at least one column, so the wrap-around lookups always have a column 0
     shape = (len(keep), max(int(n.max(initial=0)), 1))
     out = []
@@ -191,16 +192,17 @@ def _valid(x, n):
 
 def _previous(a, n):
     """a[:, k - 1] with vertex 0 wrapping to vertex n - 1."""
-    prev = np.arange(-1, a.shape[1] - 1) + np.zeros((len(a), 1), dtype=np.intp)
-    prev[:, 0] = np.maximum(n - 1, 0)
-    return np.take_along_axis(a, prev, axis=1)
+    prev = np.roll(a, 1, axis=1)
+    prev[:, 0] = a[np.arange(len(a)), np.maximum(n - 1, 0)]
+    return prev
 
 
 def _following(a, n):
-    """a[:, k + 1] with vertex n - 1 wrapping to vertex 0."""
-    nxt = np.arange(1, a.shape[1] + 1) + np.zeros((len(a), 1), dtype=np.intp)
-    nxt[nxt >= n[:, None]] = 0
-    return np.take_along_axis(a, nxt, axis=1)
+    """a[:, k + 1] with vertex n - 1 wrapping to vertex 0; entries past
+    n - 1 are not meaningful."""
+    following = np.roll(a, -1, axis=1)
+    following[np.arange(len(a)), np.maximum(n - 1, 0)] = a[:, 0]
+    return following
 
 
 def _row_sum(a):

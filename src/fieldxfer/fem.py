@@ -5,7 +5,8 @@ into the load vector, and quadrature rules.
 Per-element data stays per element: the inverse map takes each point's
 element index and gathers that element's map coefficients itself, and
 both assembly methods hand :func:`accumulate` one (Ne, 4) vector per
-element.
+element (the supermesh method for every reconstruction but bilinear,
+which it applies as a sparse operator).
 
 det J is affine on the reference square, so element areas, the orientation
 check and quadrature weights all derive from its four corner values.
@@ -345,8 +346,10 @@ def accumulate(mesh: QuadMesh, element_vectors) -> np.ndarray:
     """Global load vector: scatter each element's vector onto its nodes.
 
     element_vectors: (Ne, 4), entry k of row e belonging to node
-    mesh.elements[e, k]. Both assembly methods end here. The result is a
-    float64 vector of length mesh.n_nodes, zero where no element adds.
+    mesh.elements[e, k]. Quadrature assembly ends here, and so does
+    supermesh assembly for every reconstruction but the degree-1 Lagrange
+    one, which applies the supermesh's sparse operator instead. The result
+    is a float64 vector of length mesh.n_nodes, zero where no element adds.
     """
     b = np.bincount(mesh.elements.ravel(), weights=np.ravel(element_vectors),
                     minlength=mesh.n_nodes)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from scipy.spatial import ConvexHull
 from fieldxfer import (QuadMesh, ScalarField, StructuredGrid,
                        assemble_quadrature, assemble_supermesh, build_supermesh,
                        lagrange_interpolator, rect_mesh, sample_field, supermesh,
-                       trapezoid_integral, triangle_rule)
+                       trapezoid_integral, trapezoid_weights, triangle_rule)
 from fieldxfer._kernels import REL_DEDUP_TOL, clip_and_seed, clip_boxes, fan_gauss
 from conftest import random_convex_quad, random_field, random_grid, shoelace
 
@@ -463,6 +465,40 @@ def series_like_pair(rng, n_e=12, n_g=31):
     nodes = base.nodes.copy().reshape(n_e + 1, n_e + 1, 2)
     nodes[1:-1, 1:-1] += rng.uniform(-0.3, 0.3, nodes[1:-1, 1:-1].shape) / n_e
     return QuadMesh(nodes.reshape(-1, 2), base.elements), random_grid(rng, n_g, n_g)
+
+
+class TestTransferOperator:
+    """The bilinear transfer operator built in setup, one 4x4 block per
+    clip polygon, against the Gauss-point path it replaces."""
+
+    def test_column_sums_are_trapezoid_weights(self, rng):
+        # every grid cell lies inside the mesh, so each sample's column
+        # integrates its hat function over the whole grid
+        mesh, grid = series_like_pair(rng)
+        cache = build_supermesh(mesh, grid)
+        op = cache.operator
+        assert op.shape == (mesh.n_nodes, grid.nx * grid.ny)
+        assert op.nnz == 16 * cache.n_polygons
+        weights = trapezoid_weights(grid).ravel()
+        col_sums = np.bincount(op.col, weights=op.data, minlength=op.shape[1])
+        assert np.max(np.abs(col_sums - weights) / weights) < 1e-13
+
+    @pytest.mark.parametrize("overhang", [False, True], ids=["jittered", "overhanging"])
+    def test_bilinear_matches_gauss_point_path(self, rng, overhang):
+        # bspline:1 is the same piecewise-bilinear function, evaluated at
+        # the cached Gauss points and summed per element
+        mesh, grid = series_like_pair(rng)
+        if overhang:
+            mesh = rect_mesh(-0.5, 0, 1.5, 1, 16, 8)
+        f = random_field(rng, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cache = build_supermesh(mesh, grid)
+        b = assemble_supermesh(cache, f, "bilinear")
+        assert np.array_equal(b, cache.operator @ f.values.ravel())
+        assert np.array_equal(assemble_supermesh(cache, f, "lagrange:1"), b)
+        b_gauss = assemble_supermesh(cache, f, "bspline:1")
+        assert np.max(np.abs(b - b_gauss)) <= 1e-14 * np.max(np.abs(b_gauss))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
